@@ -262,9 +262,7 @@ def bench_cluster(
     instances = _workload(n_requests, n_distinct)
     presets = {2: preset_candidates(2), 3: preset_candidates(3)}
     # untimed warmup of the in-process sides
-    pool = instances[:8]
-    _sequential(tuner, pool, presets)
-    tuner.encoder.encode_many([(q, presets[q.dims]) for q in pool])
+    _sequential(tuner, instances[:8], presets)
     with TemporaryDirectory() as tmp:
         registry = ModelRegistry(tmp)
         registry.publish(tuner.model, tuner.fingerprint(), tags=("prod",))

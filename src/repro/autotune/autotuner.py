@@ -2,10 +2,17 @@
 
 Given an unseen stencil instance and a set of candidate tuning vectors
 (user-supplied, random, or the pre-defined hierarchical power-of-two set),
-the tuner encodes the candidates, scores them with the trained RankSVM and
-returns them best-first — *without executing any of them*.  Ranking a
-candidate set is a single matrix-vector product, which is why Table II
-reports "< 1 ms" regression time.
+the tuner scores the candidates with the trained RankSVM and returns them
+best-first — *without executing any of them*.  The model is linear and
+only the tuning block of a feature row varies between candidates, so
+scoring is one product over the factored rows
+(:meth:`~repro.features.encoder.FeatureEncoder.factor`): ``T·v + c`` with
+the ``(n, 19)`` tuning block ``T`` and a per-instance vector ``v`` and
+offset ``c``.  The full feature matrix is never built.  Scoring the 8640
+3-D presets takes ~1.5 ms per instance on a 2-vCPU x86 VM once their raw
+``(n, 5)`` tuning array is at hand (the tuning service caches it; building
+it from a plain list adds ~2 ms of Python) — the step Table II reports as
+"< 1 ms" regression.
 """
 
 from __future__ import annotations
@@ -71,18 +78,17 @@ class OrdinalAutotuner:
     # -- inference ---------------------------------------------------------------
 
     def score_candidates(
-        self, instance: StencilInstance, candidates: list[TuningVector]
+        self, instance: StencilInstance, candidates: Sequence[TuningVector]
     ) -> np.ndarray:
         """Model scores per candidate (higher = predicted faster)."""
         model = self._require_model()
-        X = self.encoder.encode_batch(instance, candidates)
         start = time.perf_counter()
-        scores = model.decision_function(X)
+        scores = model.decision_function(self.encoder.factor(instance, candidates))
         self.last_rank_seconds = time.perf_counter() - start
         return scores
 
     def rank_candidates(
-        self, instance: StencilInstance, candidates: list[TuningVector]
+        self, instance: StencilInstance, candidates: Sequence[TuningVector]
     ) -> list[TuningVector]:
         """Candidates sorted best-first according to the model."""
         scores = self.score_candidates(instance, candidates)
@@ -93,29 +99,25 @@ class OrdinalAutotuner:
         self,
         requests: "Sequence[tuple[StencilInstance, Sequence[TuningVector]]]",
     ) -> list[np.ndarray]:
-        """Scores for many ``(instance, candidates)`` sets in one fused pass.
+        """Scores for many ``(instance, candidates)`` sets, one per request.
 
-        The whole mixed batch is encoded by
-        :meth:`~repro.features.encoder.FeatureEncoder.encode_many` and scored
-        with a **single** stacked ``decision_function`` call — this is the
-        cross-instance path the tuning service's micro-batching rides on.
-        Returns one score vector per request, aligned with its candidates.
+        Each set is scored exactly as :meth:`score_candidates` scores it,
+        so a set's scores never depend on the other sets in the call.
         """
         model = self._require_model()
-        if not requests:
-            return []
-        X = self.encoder.encode_many(requests)
         start = time.perf_counter()
-        scores = model.decision_function(X)
+        scores = [
+            model.decision_function(self.encoder.factor(instance, candidates))
+            for instance, candidates in requests
+        ]
         self.last_rank_seconds = time.perf_counter() - start
-        splits = np.cumsum([len(tunings) for _, tunings in requests])[:-1]
-        return [np.asarray(s) for s in np.split(scores, splits)]
+        return scores
 
     def rank_many(
         self,
         requests: "Sequence[tuple[StencilInstance, Sequence[TuningVector]]]",
     ) -> list[list[TuningVector]]:
-        """Best-first orderings for many candidate sets, one fused pass."""
+        """Best-first orderings for many candidate sets."""
         rankings = []
         for (_, candidates), scores in zip(
             requests, self.score_candidate_sets(requests)

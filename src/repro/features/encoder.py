@@ -19,9 +19,14 @@ Layout of the encoded vector (all components in ``[0, 1]``):
    tuning block with a compact instance descriptor.  Products of ``[0, 1]``
    features stay in ``[0, 1]``.
 
-Batch encoding is vectorized: the per-instance parts are computed once and
-broadcast, so ranking 8640 candidate tunings costs one numpy pass (this is
-what makes model-based ranking "less than 1 ms per query" — Table II).
+Only the tuning block varies between the candidates of one instance, so a
+linear model never needs the full matrix at inference time:
+:meth:`FeatureEncoder.factor` returns :class:`FactoredRows` — the fixed
+per-instance row, the ``(n, 19)`` tuning block and the descriptor — and
+``w·x = fixed·w_fixed + T·(w_t + W_int·d)`` scores all ``n`` candidates
+from a block 33× narrower than the encoded rows.  Training, which does need
+the rows, uses the vectorized :meth:`FeatureEncoder.encode_batch` /
+:meth:`FeatureEncoder.encode_many`.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from repro.stencil.execution import StencilExecution
 from repro.stencil.instance import StencilInstance
 from repro.tuning.vector import TuningVector
 
-__all__ = ["FeatureEncoder"]
+__all__ = ["FactoredRows", "FeatureEncoder", "raw_tunings"]
 
 # normalization bounds shared by all encoders (library-wide constants)
 _SIZE_LO, _SIZE_HI = 16.0, 4096.0
@@ -48,6 +53,59 @@ _MAX_POINTS = 128.0
 _MAX_READS = 128.0
 _MAX_BUFFERS = 4.0
 _MAX_RADIUS = 3.0
+
+
+def raw_tunings(tunings: Sequence[TuningVector]) -> np.ndarray:
+    """The ``(n, 5)`` float array of raw ``(bx, by, bz, u, c)`` values."""
+    return np.array([t.as_tuple() for t in tunings], dtype=float).reshape(-1, 5)
+
+
+@dataclass(frozen=True)
+class FactoredRows:
+    """The rows :meth:`FeatureEncoder.encode_batch` would build, unbuilt.
+
+    Every encoded row of one instance is ``[fixed | t_i | t_i ⊗ d]``: the
+    pattern block plus instance scalars (``fixed``) and the descriptor
+    ``d`` belong to the instance, and only the 19-column tuning row
+    ``t_i`` belongs to the candidate.  :meth:`dot` therefore computes
+    ``X @ w`` as ``T·(w_t + W_int·d) + fixed·w_fixed`` from the
+    ``(n, 19)`` block ``T`` — for a 3-D preset set that is 1.3 MB instead
+    of the 44 MB ``(8640, 637)`` matrix.
+    """
+
+    #: pattern block + the 9 instance scalars (shared by every row)
+    fixed: np.ndarray
+    #: the ``(n, 19)`` tuning block, one row per candidate
+    tuning: np.ndarray
+    #: the 14-float instance descriptor (None: no interaction block)
+    descriptor: "np.ndarray | None"
+
+    def __len__(self) -> int:
+        return self.tuning.shape[0]
+
+    @property
+    def num_features(self) -> int:
+        """Width of the rows this stands for."""
+        n_tuning = self.tuning.shape[1]
+        n_inter = 0 if self.descriptor is None else n_tuning * self.descriptor.size
+        return self.fixed.size + n_tuning + n_inter
+
+    def dot(self, w: np.ndarray) -> np.ndarray:
+        """``X @ w`` for the represented rows ``X``, without building ``X``.
+
+        The products go through ``einsum``, whose result for a row depends
+        only on that row's values — not on its position or its buffer's
+        alignment, as BLAS ``gemv`` results do.  So equal candidates tie
+        exactly, and one request's scores are the same bytes whatever else
+        was scored beside it.
+        """
+        n_fixed, n_tuning = self.fixed.size, self.tuning.shape[1]
+        v = w[n_fixed : n_fixed + n_tuning]
+        if self.descriptor is not None:
+            w_int = w[n_fixed + n_tuning :].reshape(n_tuning, self.descriptor.size)
+            v = v + np.einsum("td,d->t", w_int, self.descriptor)
+        offset = np.einsum("f,f->", self.fixed, w[:n_fixed])
+        return np.einsum("nt,t->n", self.tuning, v) + offset
 
 
 @dataclass(frozen=True)
@@ -242,16 +300,16 @@ class FeatureEncoder:
         self, instance: StencilInstance, tunings: Sequence[TuningVector]
     ) -> np.ndarray:
         """Vectorized ``(n, 19)`` tuning block for one instance."""
-        raw = np.array([t.as_tuple() for t in tunings], dtype=float).reshape(-1, 5)
-        sizes = np.array([instance.size], dtype=float)
-        return self._tuning_block(raw, np.broadcast_to(sizes, (len(raw), 3)))
+        return self._tuning_block(
+            raw_tunings(tunings), np.array([instance.size], dtype=float)
+        )
 
     def _tuning_block(self, raw: np.ndarray, sizes: np.ndarray) -> np.ndarray:
         """The tuning block for ``(n, 5)`` raw tunings with per-row sizes.
 
         ``sizes`` is ``(n, 3)`` — rows may belong to *different* instances,
-        which is what lets :meth:`encode_many` fuse whole request batches
-        into one pass.
+        which is what lets :meth:`encode_many` fuse whole corpora into one
+        pass — or ``(1, 3)``, broadcast over the rows of one instance.
         """
         bx, by, bz, u, c = raw.T
         sx, sy, sz = sizes.T
@@ -287,10 +345,7 @@ class FeatureEncoder:
     # -- public API -----------------------------------------------------------
 
     def encode_many(
-        self,
-        requests: Sequence[tuple[StencilInstance, Sequence[TuningVector]]],
-        out: "np.ndarray | None" = None,
-        dtype: "np.dtype | type | str" = np.float64,
+        self, requests: Sequence[tuple[StencilInstance, Sequence[TuningVector]]]
     ) -> np.ndarray:
         """Encode several candidate sets of *different* instances at once.
 
@@ -300,34 +355,14 @@ class FeatureEncoder:
         ``counts[i] = len(requests[i][1])``.  The per-instance parts
         (pattern, scalars, descriptor) are computed once per request and
         gathered; the tuning and interaction blocks run as **one** NumPy
-        pass over all rows.  This is the cross-instance encode path that
-        micro-batching services and corpus-scale training builds need: the
-        whole mixed batch becomes a single matrix ready for one stacked
-        ``decision_function`` call.
-
-        ``out`` optionally supplies a preallocated C-contiguous
-        ``(>= total rows, num_features)`` buffer; the returned matrix is a
-        view of its first rows, every cell overwritten.  A serving loop
-        encoding slab after slab reuses one resident buffer instead of
-        faulting in a fresh ~100 MB allocation per pass — on the measured
-        preset workloads that allocation churn, not the arithmetic, was
-        the dominant cost of large mixed batches.
-
-        ``dtype`` selects the output precision (``float64`` default, or
-        ``float32`` for the opt-in reduced-precision serving path); when
-        ``out`` is supplied its dtype wins and must be one of the two.
-        Intermediate arithmetic stays float64 either way — narrowing
-        happens once, on the block writes into the destination.
+        pass over all rows.  This is the corpus-scale encode that training
+        builds, retraining and shadow evaluation need.
         """
-        dtype = np.dtype(dtype)
-        if dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-            raise ValueError(f"dtype must be float64 or float32, got {dtype}")
         if not requests:
-            return np.empty((0, self.num_features), dtype=dtype)
+            return np.empty((0, self.num_features))
         counts = [len(tunings) for _, tunings in requests]
         total = sum(counts)
-        flat = [t.as_tuple() for _, tunings in requests for t in tunings]
-        raw = np.array(flat, dtype=float).reshape(-1, 5)
+        raw = raw_tunings([t for _, tunings in requests for t in tunings])
         row_of = np.repeat(np.arange(len(requests)), counts)
         sizes = np.array([q.size for q, _ in requests], dtype=float)
         tune = self._tuning_block(raw, sizes[row_of])
@@ -336,25 +371,7 @@ class FeatureEncoder:
         # (reads stay L1-resident) instead of materializing row-gathered
         # temporaries — that keeps the fused path at encode_batch's
         # bytes-written-once memory traffic
-        if out is None:
-            out = np.empty((total, self.num_features), dtype=dtype)
-        else:
-            if out.ndim != 2 or out.shape[1] != self.num_features:
-                raise ValueError(
-                    f"out must be (rows, {self.num_features}), got {out.shape}"
-                )
-            if out.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-                # the buffer's dtype decides the serving precision; anything
-                # other than the two supported float widths would silently
-                # cast every block write to something untested
-                raise ValueError(f"out must be float64 or float32, got {out.dtype}")
-            if out.shape[0] < total:
-                raise ValueError(
-                    f"out has {out.shape[0]} rows, batch needs {total}"
-                )
-            if not out.flags.c_contiguous:
-                raise ValueError("out must be C-contiguous")
-            out = out[:total]
+        out = np.empty((total, self.num_features))
         col = 0
         if self.include_pattern:
             pats = [self.pattern_features(q) for q, _ in requests]
@@ -399,6 +416,45 @@ class FeatureEncoder:
             inter = np.einsum("nt,d->ntd", tune, desc).reshape(n, -1)
             parts.append(inter)
         return np.concatenate(parts, axis=1)
+
+    def factor(
+        self,
+        instance: StencilInstance,
+        tunings: Sequence[TuningVector],
+        raw: "np.ndarray | None" = None,
+    ) -> FactoredRows:
+        """The rows ``encode_batch(instance, tunings)`` would build, factored.
+
+        ``raw`` optionally supplies :func:`raw_tunings` of ``tunings``
+        precomputed — a candidate set scored for many instances (the
+        presets) then skips the per-candidate Python loop.
+
+        >>> from repro.stencil import benchmark_by_id
+        >>> from repro.tuning.presets import preset_candidates
+        >>> enc = FeatureEncoder()
+        >>> inst = benchmark_by_id("laplacian-128x128x128")
+        >>> tunings = preset_candidates(3)[:64]
+        >>> rows = enc.factor(inst, tunings)
+        >>> len(rows), rows.num_features == enc.num_features
+        (64, True)
+        >>> w = np.random.default_rng(0).normal(size=enc.num_features)
+        >>> dense = enc.encode_batch(inst, tunings) @ w
+        >>> bool(np.abs(rows.dot(w) - dense).max() < 1e-12)
+        True
+        """
+        fixed = self.instance_features(instance)
+        if self.include_pattern:
+            fixed = np.concatenate([self.pattern_features(instance), fixed])
+        return FactoredRows(
+            fixed=fixed,
+            tuning=self._tuning_block(
+                raw_tunings(tunings) if raw is None else raw,
+                np.array([instance.size], dtype=float),
+            ),
+            descriptor=(
+                self.instance_descriptor(instance) if self.interactions else None
+            ),
+        )
 
     def encode(
         self, instance: StencilInstance, tuning: TuningVector

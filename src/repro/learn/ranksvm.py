@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.features.encoder import FactoredRows
 from repro.learn.solvers import SolverResult, solve_lbfgs, solve_sgd
 from repro.ranking.kendall import kendall_tau
 from repro.ranking.partial import RankingGroups
@@ -152,9 +153,25 @@ class RankSVM:
 
     # -- inference -------------------------------------------------------------
 
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        """Scores for candidate feature rows (higher = predicted faster)."""
+    def decision_function(self, X: "np.ndarray | FactoredRows") -> np.ndarray:
+        """Scores for candidate feature rows (higher = predicted faster).
+
+        ``X`` is an encoded matrix (training, evaluation) or the
+        :class:`~repro.features.encoder.FactoredRows` of one instance's
+        candidates (every inference path), scored without building the
+        matrix.  Both forms reduce each row with ``einsum``, so a row's
+        score depends only on its values: equal rows tie exactly, and a
+        row scores the same bytes whatever matrix it sits in (BLAS
+        ``X @ w`` varies in the last ulp with row position and alignment).
+        """
         w = self._require_fit()
+        if isinstance(X, FactoredRows):
+            if X.num_features != w.size:
+                raise ValueError(
+                    f"feature dimension mismatch: model has {w.size}, "
+                    f"X has {X.num_features}"
+                )
+            return X.dot(w)
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X[np.newaxis, :]
@@ -162,7 +179,7 @@ class RankSVM:
             raise ValueError(
                 f"feature dimension mismatch: model has {w.size}, X has {X.shape[1]}"
             )
-        return X @ w
+        return np.einsum("nf,f->n", X, w)
 
     def rank(self, X: np.ndarray) -> np.ndarray:
         """Candidate indices sorted best-first (stable under score ties)."""

@@ -10,9 +10,9 @@ stage                     what the time is
 ``dispatch``              coordinator: route + pickle + pipe write
 ``worker-ingress``        pipe transit + worker inbox/loop scheduling wait
 ``service-queue``         micro-batcher wait + in-batch wait before the
-                          request's fused slab (or, cache path, until answered)
-``encode``                the request's slab's ``encode_many`` pass
-``score``                 the slab's stacked ``decision_function``
+                          request is scored (or, cache path, until answered)
+``encode``                the request's own ``FeatureEncoder.factor`` call
+``score``                 the request's own ``decision_function`` call
 ``service-finish``        argsort / materialize / future resolution
 ``cache``                 zero-width marker: the ranking cache answered
 ``reply-egress``          reply pickle + pipe transit + coordinator reader wake
@@ -20,10 +20,10 @@ stage                     what the time is
 ``degraded-score``        detour: coordinator-side fallback answer
 ========================  =====================================================
 
-Stage times are *experienced* latency (a request in a 16-query slab waits
-through the whole slab's encode, and that is what its ``encode`` span
-records); per-span ``attrs`` carry the rows/slab_rows needed to derive
-CPU shares.  Because every process on one host reads the same monotonic
+Stage times are *experienced* latency: a request scored after others in
+its micro-batch spends their scoring time in ``service-queue``, and its
+``encode``/``score`` spans cover only its own work (``attrs`` carry its
+candidate ``rows``).  Because every process on one host reads the same monotonic
 clock, worker spans and coordinator spans compose: the coordinator
 synthesizes the two transport stages from the gaps around the worker's
 span block and clamps any cross-process skew at zero.

@@ -5,8 +5,9 @@ matrix-vector product — makes the trained model a natural *service*.  This
 package provides the production pieces around it:
 
 * :mod:`repro.service.server` — :class:`TuningService`, the asyncio
-  front-end that micro-batches concurrent requests into fused
-  ``encode_many`` + stacked ``decision_function`` passes;
+  front-end that micro-batches concurrent requests and scores each query
+  from its factored feature rows (``FeatureEncoder.factor`` +
+  ``decision_function``);
 * :mod:`repro.service.batching` — the generic request coalescer;
 * :mod:`repro.service.cache` — the LRU :class:`RankingCache` keyed by
   (instance fingerprint, candidate-set hash, model version);

@@ -1,12 +1,11 @@
-"""Micro-batching: coalesce concurrent requests into one fused pass.
+"""Micro-batching: coalesce concurrent requests into one processing pass.
 
-Ranking one candidate set is a single matrix-vector product, so the
-dominant serving cost is per-request overhead — encoding and the Python
-round trip.  Micro-batching amortizes it: requests that arrive while a
+Ranking one candidate set is a single small matrix-vector product, so the
+dominant serving cost is per-request overhead — the Python round trip.  Micro-batching amortizes it: requests that arrive while a
 batch is in flight are queued, and the worker drains everything immediately
 available (up to ``max_batch_size``), waiting at most ``max_delay_s`` after
 the first item to let stragglers join.  Under heavy concurrency batches run
-full and throughput approaches the fused-path limit; a lone request pays at
+full and throughput approaches the per-query scoring limit; a lone request pays at
 most the configured delay.
 
 :class:`MicroBatcher` is policy-free plumbing: it neither knows what an

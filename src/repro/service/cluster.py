@@ -23,7 +23,7 @@ reading the **same on-disk**
 Properties the ``tests/cluster/`` suites pin:
 
 * **bit-identical rankings** — every worker loads the same archive bytes
-  and runs the same fused encode + ``X @ w`` + stable argsort, so a
+  and runs the same factored scoring + stable argsort, so a
   cluster answer equals ``OrdinalAutotuner.rank_candidates`` exactly, for
   any worker count;
 * **instance affinity** — routing is rendezvous hashing over the alive
@@ -366,15 +366,12 @@ class ServiceCluster:
         cache_entries: int = 4096,
         latency_window: int = 4096,
         max_cached_models: int = 8,
-        max_rows_per_pass: int = 32768,
         feedback_every: int = 0,
         resilience: "ResilienceConfig | None" = None,
         chaos: "ChaosConfig | dict[int, ChaosConfig] | None" = None,
         trace: "TraceConfig | None" = None,
         audit: "AuditJournal | None" = None,
         score_transport: str = "shm",
-        dtype: str = "float64",
-        encode_cache_rows: int = 32768,
         transport: "str | dict[int, str]" = "pipe",
         worker_weights: "dict[int, float] | None" = None,
         remote_workers: "Sequence[str] | None" = None,
@@ -434,11 +431,8 @@ class ServiceCluster:
             cache_entries=cache_entries,
             latency_window=latency_window,
             max_cached_models=max_cached_models,
-            max_rows_per_pass=max_rows_per_pass,
             feedback_every=feedback_every,
             heartbeat_interval_s=self.resilience.heartbeat_interval_s,
-            dtype=dtype,
-            encode_cache_rows=encode_cache_rows,
         )
         #: "shm" parks score arrays in per-worker shared-memory slab rings
         #: (zero-copy views on the answer path); "pickle" forces the plain

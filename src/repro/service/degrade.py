@@ -186,7 +186,7 @@ class FallbackScorer:
         candidates: Sequence[TuningVector],
         model_ref: str,
     ) -> FallbackAnswer:
-        """Resolve, encode and score one query exactly as a worker would."""
+        """Resolve and score one query exactly as a worker would."""
         with self._lock:
             version = self.registry.resolve(model_ref)
             model = self._models.get(version)
@@ -200,8 +200,7 @@ class FallbackScorer:
             else:
                 self._models.move_to_end(version)
             candidates = list(candidates)
-            X = self.encoder.encode_many([(instance, candidates)])
-            scores = model.decision_function(X)
+            scores = model.decision_function(self.encoder.factor(instance, candidates))
             self.scored += 1
         order = np.argsort(-scores, kind="stable")
         return FallbackAnswer(

@@ -40,8 +40,7 @@ identical list from its own memo.
 Determinism note: scores travel as ``float64`` bytes (slab memcpy or
 pickle), an exact byte-level round trip either way — the cross-process
 bit-identity suites in ``tests/cluster/`` compare them with
-``np.array_equal``, no tolerance.  (The opt-in float32 serving path
-relaxes this to top-k agreement; see ``docs/serving.md``.)
+``np.array_equal``, no tolerance.
 """
 
 from __future__ import annotations

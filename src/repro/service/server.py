@@ -6,12 +6,14 @@ queries and answering with the model's best-first ordering.  Three layers
 make it fast under load:
 
 1. **Micro-batching** — concurrent requests are coalesced by a
-   :class:`~repro.service.batching.MicroBatcher`; each batch is encoded by
-   ``FeatureEncoder.encode_many`` and scored with *one* stacked
-   ``decision_function`` call across all instances in the batch.
+   :class:`~repro.service.batching.MicroBatcher`; one batch resolves its
+   model refs and cache lookups together, deduplicates identical queries,
+   and scores each remaining query from its factored feature rows
+   (``FeatureEncoder.factor`` + ``decision_function``) — the ``(n, 19)``
+   tuning block, never the full feature matrix.
 2. **Ranking cache** — answers are memoized per (instance fingerprint,
    candidate-set hash, model version); repeat queries return without
-   re-encoding (:class:`~repro.service.cache.RankingCache`).
+   re-scoring (:class:`~repro.service.cache.RankingCache`).
 3. **Versioned models** — requests may name a registry version or tag;
    tags are re-resolved on every batch, so publishing a new version and
    moving a tag **hot-swaps** the model with no restart and no dropped
@@ -19,12 +21,14 @@ make it fast under load:
    fingerprint and memoized per version.
 
 Answers are bit-identical to :meth:`OrdinalAutotuner.rank_candidates` for
-the same model version: the same encoder rows, the same ``X @ w`` scoring,
-the same stable argsort tie-breaking.
+the same model version: the same factored rows, the same
+``decision_function`` call, the same stable argsort tie-breaking.  Each
+query is scored on its own, so its answer does not depend on what else
+shared its micro-batch.
 
-Scoring runs inline on the event loop — it is a NumPy matrix product that
-releases the GIL and takes well under a millisecond per query, so handing
-it to a thread pool would cost more than it saves.
+Scoring runs inline on the event loop — about a millisecond of NumPy per
+preset-sized query, so handing it to a thread pool would cost more than it
+saves.
 """
 
 from __future__ import annotations
@@ -37,13 +41,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.features.encoder import FeatureEncoder
+from repro.features.encoder import FeatureEncoder, raw_tunings
 from repro.obs.trace import Span, TraceContext
 from repro.learn.ranksvm import RankSVM
 from repro.service.batching import MicroBatcher
 from repro.service.cache import (
     CachedRanking,
-    EncodeCache,
     InternedCandidates,
     RankingCache,
     candidate_set_hash,
@@ -101,17 +104,16 @@ class _Pending:
     #: precomputed candidate-set hash (service-owned default sets and
     #: client-interned sets skip per-request digesting entirely)
     candidates_hash: "int | None" = field(default=None, repr=False)
+    #: precomputed raw ``(n, 5)`` tunings, same sources (None: plain list,
+    #: built when the request is scored)
+    raw: "np.ndarray | None" = field(default=None, repr=False)
     #: answer with only the k best candidates (None = full ranking)
     top_k: "int | None" = None
     #: trace identity when sampled (None: untraced, no span work at all)
     trace: "TraceContext | None" = None
-    #: fused-pass timestamps ``(slab_start, encoded, scored, slab_rows,
-    #: encode_cached)`` stamped on every traced request that was scored
-    #: (``encode_cached`` marks a zero-width encode served by the
-    #: instance-keyed encode cache)
-    t_slab: "tuple[float, float, float, int, bool] | None" = field(
-        default=None, repr=False
-    )
+    #: ``(start, factored, scored)`` timestamps stamped on every traced
+    #: request that was scored
+    t_scored: "tuple[float, float, float] | None" = field(default=None, repr=False)
 
 
 class TuningService:
@@ -135,52 +137,23 @@ class TuningService:
         cache_entries: int = 4096,
         latency_window: int = 4096,
         max_cached_models: int = 8,
-        max_rows_per_pass: int = 32768,
-        dtype: str = "float64",
-        encode_cache_rows: int = 0,
     ) -> None:
         if max_cached_models < 1:
             raise ValueError(f"max_cached_models must be >= 1, got {max_cached_models}")
-        if max_rows_per_pass < 1:
-            raise ValueError(f"max_rows_per_pass must be >= 1, got {max_rows_per_pass}")
-        if np.dtype(dtype) not in (np.dtype(np.float64), np.dtype(np.float32)):
-            raise ValueError(f"dtype must be float64 or float32, got {dtype}")
         self.registry = registry
         self.encoder = encoder or FeatureEncoder()
         self.default_model = default_model
         self.cache = RankingCache(cache_entries)
         self.telemetry = ServiceTelemetry(latency_window)
         self.max_cached_models = max_cached_models
-        #: serving precision: float64 (default, bit-identical to the
-        #: offline ranker) or float32 (opt-in; rank order pinned by top-k
-        #: agreement, not bit identity — see docs/serving.md)
-        self.dtype = np.dtype(dtype)
-        #: per-version float32 weight vectors (float32 serving only) —
-        #: scoring must be X32 @ w32 end to end; routing float32 rows
-        #: through ``decision_function`` would silently upcast to float64
-        self._w32: dict[str, np.ndarray] = {}
-        #: encoded-matrix cache keyed by instance hash alone (off by
-        #: default in-process; cluster workers enable it so repeat
-        #: instances survive model hot-swaps without re-encoding)
-        self.encode_cache = (
-            EncodeCache(encode_cache_rows) if encode_cache_rows > 0 else None
-        )
-        #: cap on candidate rows encoded+scored in one fused pass.  A batch
-        #: of many distinct preset-sized instances would otherwise stack a
-        #: multi-GB feature matrix whose transients are page-fault-bound
-        #: (measured ~5× slower than the same rows in bounded slabs); the
-        #: slab boundary never splits one request, so answers stay
-        #: bit-identical — each row's X @ w is independent
-        self.max_rows_per_pass = max_rows_per_pass
-        #: resident encode buffer reused across fused passes (lazily sized);
-        #: without it every slab faults in a fresh ~100 MB allocation, which
-        #: dominates large mixed batches on first touch
-        self._encode_scratch: "np.ndarray | None" = None
         #: LRU of loaded models — a long-lived worker hot-swaps through
         #: many promotions, and retired versions must not accumulate
         self._models: OrderedDict[str, RankSVM] = OrderedDict()
-        #: dims -> (shared preset list, its content hash), computed once
-        self._default_sets: dict[int, tuple[list[TuningVector], int]] = {}
+        #: dims -> (shared preset list, its content hash, its raw tunings),
+        #: computed once
+        self._default_sets: dict[
+            int, tuple[list[TuningVector], int, np.ndarray]
+        ] = {}
         #: observers called with (instance, candidates, response) per answer
         self._response_hooks: list[
             Callable[[StencilInstance, Sequence[TuningVector], RankingResponse], None]
@@ -215,9 +188,6 @@ class TuningService:
             cache_entries=config.cache_entries,
             latency_window=config.latency_window,
             max_cached_models=config.max_cached_models,
-            max_rows_per_pass=config.max_rows_per_pass,
-            dtype=config.dtype,
-            encode_cache_rows=config.encode_cache_rows,
         )
 
     # -- lifecycle -------------------------------------------------------------
@@ -270,7 +240,7 @@ class TuningService:
 
         ``trace`` attaches a :class:`~repro.obs.trace.TraceContext`: the
         answer's ``response.spans`` then carries the request's stage spans
-        (queue wait, fused encode/score, finish — or the cache path).
+        (queue wait, encode/score, finish — or the cache path).
         Untraced requests (the default) do no span work whatsoever.
         """
         if not self.running:
@@ -278,11 +248,13 @@ class TuningService:
         if top_k is not None and top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {top_k}")
         if candidates is None:
-            candidates, candidates_hash = self._default_candidates(instance.dims)
+            candidates, candidates_hash, raw = self._default_candidates(instance.dims)
         elif isinstance(candidates, InternedCandidates):
-            candidates, candidates_hash = candidates.candidates, candidates.content_hash
+            candidates, candidates_hash, raw = (
+                candidates.candidates, candidates.content_hash, candidates.raw
+            )
         else:
-            candidates, candidates_hash = list(candidates), None
+            candidates, candidates_hash, raw = list(candidates), None, None
         self.telemetry.record_request()
         loop = asyncio.get_running_loop()
         pending = _Pending(
@@ -292,6 +264,7 @@ class TuningService:
             future=loop.create_future(),
             enqueued_at=loop.time(),
             candidates_hash=candidates_hash,
+            raw=raw,
             top_k=top_k,
             trace=trace,
         )
@@ -334,17 +307,21 @@ class TuningService:
                 self.hook_errors += 1
                 self.last_hook_error = exc
 
-    def _default_candidates(self, dims: int) -> tuple[list[TuningVector], int]:
-        """The paper's preset set for ``dims``, with its hash, memoized.
+    def _default_candidates(
+        self, dims: int
+    ) -> tuple[list[TuningVector], int, np.ndarray]:
+        """The paper's preset set for ``dims``, its hash and raw tunings, memoized.
 
         The list is shared across requests (responses never mutate it), so
-        default-candidate traffic pays neither preset regeneration nor
-        per-request content hashing.
+        default-candidate traffic pays neither preset regeneration, nor
+        per-request content hashing, nor the per-candidate raw-array loop.
         """
         cached = self._default_sets.get(dims)
         if cached is None:
             presets = preset_candidates(dims)
-            cached = (presets, candidate_set_hash(presets))
+            raw = raw_tunings(presets)
+            raw.setflags(write=False)
+            cached = (presets, candidate_set_hash(presets), raw)
             self._default_sets[dims] = cached
         return cached
 
@@ -366,10 +343,7 @@ class TuningService:
 
     def stats(self) -> dict:
         """Telemetry + cache counters in one flat dict."""
-        merged = {**self.telemetry.snapshot(), **self.cache.snapshot()}
-        if self.encode_cache is not None:
-            merged.update(self.encode_cache.snapshot())
-        return merged
+        return {**self.telemetry.snapshot(), **self.cache.snapshot()}
 
     # -- batch processing ------------------------------------------------------
 
@@ -419,163 +393,43 @@ class TuningService:
         return misses
 
     def _score_group(self, version: str, reqs: list[_Pending]) -> None:
-        """Encode+score all requests of one model version in fused passes.
+        """Score all requests of one model version, one query at a time.
 
         Identical queries that landed in the same micro-batch (same cache
-        key) are deduplicated first: one representative is encoded and
-        scored, the duplicates are answered from the just-cached entry —
-        a repeat instance never pays for encoding twice, even before the
-        LRU has seen it.  Representatives are packed into slabs of at most
-        ``max_rows_per_pass`` candidate rows (never splitting one request),
-        so a batch of many distinct preset-sized instances keeps its
-        transient arrays memory-resident instead of stacking one giant
-        feature matrix.
+        key) are deduplicated first: one representative is scored, the
+        duplicates are answered from the just-cached entry.  Each
+        representative is scored from its own factored rows, so a query
+        that cannot be scored (e.g. a kernel radius beyond the encoder's
+        ``max_radius``) fails alone.
         """
         unique: dict[tuple[int, int, str], list[_Pending]] = {}
         for req in reqs:
             unique.setdefault(req.cache_key, []).append(req)
-        reps = [group[0] for group in unique.values()]
         try:
             model = self._model(version)
         except Exception as exc:  # bad model: fail the whole version group
             for req in reqs:
                 self._fail(req, exc)
             return
-        if self.encode_cache is not None:
-            # the instance-keyed cache answers the *encode*, not the
-            # ranking: hits skip encode_many entirely (a repeat instance
-            # after a model hot-swap is the designed case) and go straight
-            # to scoring; misses fall through to the fused slab passes
-            uncached: list[_Pending] = []
-            for rep in reps:
-                X = self.encode_cache.get(rep.cache_key[0], rep.candidates_hash)
-                if X is None:
-                    uncached.append(rep)
-                    continue
-                t_start = time.monotonic()
-                try:
-                    s = self._score(version, model, X)
-                except Exception as exc:
-                    for req in unique[rep.cache_key]:
-                        self._fail(req, exc)
-                    continue
-                t_scored = time.monotonic()
-                self.telemetry.record_scored(len(X))
-                group = unique[rep.cache_key]
-                for req in group:
-                    if req.trace is not None:
-                        req.t_slab = (t_start, t_start, t_scored, len(X), True)
-                self._finish_group(version, group, s)
-            reps = uncached
-        for slab in self._slabs(reps):
-            # time.monotonic() is the asyncio loop clock, so slab stamps
+        for group in unique.values():
+            rep = group[0]
+            # time.monotonic() is the asyncio loop clock, so the stamps
             # compare directly against _Pending.enqueued_at
             t_start = time.monotonic()
             try:
-                X = self.encoder.encode_many(
-                    [(req.instance, req.candidates) for req in slab],
-                    out=self._scratch(sum(len(req.candidates) for req in slab)),
-                )
-                t_encoded = time.monotonic()
-                scores = self._score(version, model, X)
+                rows = self.encoder.factor(rep.instance, rep.candidates, rep.raw)
+                t_factored = time.monotonic()
+                scores = model.decision_function(rows)
                 t_scored = time.monotonic()
-            except Exception:
-                # one unencodable request (e.g. kernel radius beyond the
-                # encoder's max_radius) must not poison the slab: fall back
-                # to isolating each unique query so only the culprit fails
-                for rep in slab:
-                    self._score_isolated(model, version, unique[rep.cache_key])
-                continue
-            self.telemetry.record_scored(len(X))
-            splits = np.cumsum([len(req.candidates) for req in slab])[:-1]
-            row_blocks = np.split(X, splits) if self.encode_cache is not None else None
-            for i, (rep, s) in enumerate(zip(slab, np.split(scores, splits))):
-                if row_blocks is not None:
-                    self.encode_cache.put(
-                        rep.cache_key[0], rep.candidates_hash, row_blocks[i]
-                    )
-                group = unique[rep.cache_key]
+            except Exception as exc:
                 for req in group:
-                    if req.trace is not None:
-                        req.t_slab = (t_start, t_encoded, t_scored, len(X), False)
-                self._finish_group(version, group, s)
-
-    def _scratch(self, rows: int) -> np.ndarray:
-        """The reusable encode buffer, grown (never shrunk) to ``rows``.
-
-        Growth is geometric, so a service settles at one resident buffer
-        matched to its workload — at most a ``max_rows_per_pass`` slab
-        (unless a single over-cap candidate set forces more) — while
-        small-query services never pay for a slab they will not fill.
-        """
-        current = 0 if self._encode_scratch is None else self._encode_scratch.shape[0]
-        if current < rows:
-            size = min(max(rows, 2 * current), max(rows, self.max_rows_per_pass))
-            self._encode_scratch = np.empty(
-                (size, self.encoder.num_features), dtype=self.dtype
-            )
-        return self._encode_scratch
-
-    def _score(self, version: str, model: RankSVM, X: np.ndarray) -> np.ndarray:
-        """Score encoded rows at the service's precision.
-
-        float64 goes through ``decision_function`` (bit-identical to the
-        offline ranker).  float32 multiplies against a per-version
-        float32 copy of the weights directly — ``decision_function`` casts
-        its input up to float64, which would silently undo the narrow
-        encode and hand back a float64 array that merely *started* narrow.
-        """
-        if self.dtype == np.float64:
-            return model.decision_function(X)
-        w32 = self._w32.get(version)
-        if w32 is None:
-            w32 = model.w_.astype(np.float32)
-            self._w32[version] = w32
-        return X @ w32
-
-    def _slabs(self, reps: list[_Pending]) -> "list[list[_Pending]]":
-        """Greedily pack requests into row-bounded fused-pass slabs.
-
-        A single oversized request (one candidate set beyond the cap)
-        still gets its own slab — the cap bounds *stacking*, it never
-        rejects a query.
-        """
-        slabs: list[list[_Pending]] = []
-        current: list[_Pending] = []
-        rows = 0
-        for rep in reps:
-            n = len(rep.candidates)
-            if current and rows + n > self.max_rows_per_pass:
-                slabs.append(current)
-                current, rows = [], 0
-            current.append(rep)
-            rows += n
-        if current:
-            slabs.append(current)
-        return slabs
-
-    def _score_isolated(
-        self, model: RankSVM, version: str, group: list[_Pending]
-    ) -> None:
-        """Error-path scoring of one unique query (fused pass failed)."""
-        rep = group[0]
-        t_start = time.monotonic()
-        try:
-            X = self.encoder.encode_many(
-                [(rep.instance, rep.candidates)], dtype=self.dtype
-            )
-            t_encoded = time.monotonic()
-            s = self._score(version, model, X)
-            t_scored = time.monotonic()
-        except Exception as exc:
+                    self._fail(req, exc)
+                continue
+            self.telemetry.record_scored(len(rows))
             for req in group:
-                self._fail(req, exc)
-            return
-        self.telemetry.record_scored(len(X))
-        for req in group:
-            if req.trace is not None:
-                req.t_slab = (t_start, t_encoded, t_scored, len(X), False)
-        self._finish_group(version, group, s)
+                if req.trace is not None:
+                    req.t_scored = (t_start, t_factored, t_scored)
+            self._finish_group(version, group, scores)
 
     def _finish_group(
         self, version: str, group: list[_Pending], scores: np.ndarray
@@ -618,7 +472,6 @@ class TuningService:
             while len(self._models) > self.max_cached_models:
                 evicted, _ = self._models.popitem(last=False)
                 self.cache.invalidate_version(evicted)
-                self._w32.pop(evicted, None)
         else:
             self._models.move_to_end(version)
         return model
@@ -633,9 +486,9 @@ class TuningService:
     ) -> tuple[Span, ...]:
         """The traced request's stage spans (partitioning its wall time).
 
-        A request that waited through a fused slab gets queue → encode →
-        score → finish (slab durations are *experienced* latency; attrs
-        carry the request's own rows vs the slab's for CPU-share math).  A
+        A scored request gets queue → encode → score → finish, where
+        ``encode`` is its own ``factor`` call and ``score`` its own
+        ``decision_function`` (attrs carry its candidate rows).  A
         cache-path answer is all queue wait plus a zero-width ``cache``
         marker.
         """
@@ -652,21 +505,13 @@ class TuningService:
                 attrs=attrs,
             )
 
-        if req.t_slab is not None:
-            t_start, t_encoded, t_scored, slab_rows, enc_cached = req.t_slab
+        if req.t_scored is not None:
+            t_start, t_factored, t_scored = req.t_scored
+            rows = {"rows": len(req.candidates)}
             return (
                 span("service-queue", req.enqueued_at, t_start),
-                span(
-                    "encode",
-                    t_start,
-                    t_encoded,
-                    {
-                        "rows": len(req.candidates),
-                        "slab_rows": slab_rows,
-                        "encode_cache": enc_cached,
-                    },
-                ),
-                span("score", t_encoded, t_scored, {"slab_rows": slab_rows}),
+                span("encode", t_start, t_factored, rows),
+                span("score", t_factored, t_scored, rows),
                 span("service-finish", t_scored, now),
             )
         return (

@@ -71,7 +71,7 @@ class SlabRef:
     slot: int
     #: element count of the parked 1-D array
     count: int
-    #: numpy dtype name ("float64" / "float32")
+    #: numpy dtype name of the parked array
     dtype: str
 
 

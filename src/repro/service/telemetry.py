@@ -154,12 +154,6 @@ _SUMMED = (
     "cache_hits",
     "cache_misses",
     "cache_evictions",
-    "encode_cache_entries",
-    "encode_cache_rows",
-    "encode_cache_hits",
-    "encode_cache_misses",
-    "encode_cache_evictions",
-    "encode_cache_deferred",
     "slab_slots",
     "slab_in_use",
     "slab_writes_total",
@@ -227,10 +221,6 @@ def merge_stats(
     )
     lookups = merged["cache_hits"] + merged["cache_misses"]
     merged["cache_hit_rate"] = merged["cache_hits"] / lookups if lookups else 0.0
-    enc_lookups = merged["encode_cache_hits"] + merged["encode_cache_misses"]
-    merged["encode_cache_hit_rate"] = (
-        merged["encode_cache_hits"] / enc_lookups if enc_lookups else 0.0
-    )
     pooled = (
         np.fromiter(
             (x for window in latency_windows if window for x in window),

@@ -95,7 +95,6 @@ class WorkerConfig:
     cache_entries: int = 4096
     latency_window: int = 4096
     max_cached_models: int = 8
-    max_rows_per_pass: int = 32768
     #: stream every Nth successful answer back to the coordinator as a
     #: :class:`~repro.service.ipc.FeedbackRecord` (0 = no feedback stream)
     feedback_every: int = 0
@@ -103,16 +102,11 @@ class WorkerConfig:
     heartbeat_interval_s: float = 0.25
     #: fault injections for chaos drills (None = behave perfectly)
     chaos: "ChaosConfig | None" = None
-    #: serving precision ("float64" default; "float32" opt-in — top-k
-    #: agreement instead of bit identity, see docs/serving.md)
-    dtype: str = "float64"
     #: the coordinator-created score slab segment to attach (None: no
     #: shared-memory transport — every score array pickles over the pipe)
     slab_name: "str | None" = None
     slab_slots: int = DEFAULT_SLOTS
     slab_slot_bytes: int = DEFAULT_SLOT_BYTES
-    #: row budget of the instance-keyed encode cache (0 = disabled)
-    encode_cache_rows: int = 32768
 
 
 def worker_main(worker_id: int, registry_root: str, conn: Connection, config: WorkerConfig) -> None:

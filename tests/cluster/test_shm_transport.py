@@ -1,4 +1,4 @@
-"""Zero-copy score transport, float32 serving and the encode cache, end to end.
+"""Zero-copy score transport, end to end.
 
 The shm transport must be invisible at the answer layer: scores arriving
 through a slab ring are bit-identical to the pickle path and to the
@@ -8,14 +8,11 @@ and a run full of SIGKILLs leaves nothing behind in ``/dev/shm``.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 
 import numpy as np
 import pytest
 
-from repro.online.promotion import PromotionPolicy
-from repro.online.shadow import ShadowReport
 from repro.service.shm import leaked_segments
 from tests.cluster.harness import (
     assert_response_matches,
@@ -106,116 +103,9 @@ class TestShmTransport:
         assert leaked_segments(_SHM_PREFIX) == []
 
 
-def _passing_report(n: int = 8) -> ShadowReport:
-    return ShadowReport(
-        candidate_tau=0.9,
-        production_tau=0.1,
-        n_records=n,
-        candidate_taus=(0.9,) * n,
-        production_taus=(0.1,) * n,
-        families=("line",) * n,
-    )
-
-
-class TestEncodeCache:
-    def test_hot_swap_rescoring_hits_encode_cache(
-        self, make_cluster, cluster_registry, cluster_tuner, second_model
-    ):
-        """Re-scoring known instances under a freshly promoted model must
-        reuse their encodings: the ranking cache misses (new version) but
-        the encode cache, keyed by instance alone, hits — bit-identically."""
-        requests = workload_requests(10, seed=81)
-        cluster = make_cluster(n_workers=2)
-        for instance, candidates in requests:
-            cluster.submit(instance, candidates).result(timeout=120)
-        before = cluster.stats()["cluster"]
-
-        policy = PromotionPolicy(cluster_registry, tag="prod")
-        decision = policy.consider(
-            second_model, cluster_tuner.fingerprint(), _passing_report()
-        )
-        assert decision.promoted
-
-        v2_tuner = dataclasses.replace(cluster_tuner, model=second_model)
-
-        def swap_reached_everywhere() -> bool:
-            checks = [
-                cluster.submit(q, c, include_scores=False).result(timeout=120)
-                for q, c in requests[:4]
-            ]
-            return {r.model_version for r in checks} == {"v0002"}
-
-        assert wait_until(swap_reached_everywhere, timeout_s=30.0)
-        for instance, candidates in requests:
-            ranked, scores = expected_answer(v2_tuner, instance, candidates)
-            response = cluster.submit(instance, candidates).result(timeout=120)
-            assert response.model_version == "v0002"
-            assert_response_matches(response, ranked, scores)
-
-        # insertion is on second touch: the v1 pass recorded the encodes,
-        # the v2 re-encode stored them — a *second* promotion is the first
-        # one whose re-scoring can hit.  Republishing the original model
-        # as v0003 doubles as a bit-identity check against the v1 oracle.
-        cluster_registry.publish(
-            cluster_tuner.model, cluster_tuner.fingerprint(), tags=("prod",)
-        )
-
-        def v3_reached_everywhere() -> bool:
-            checks = [
-                cluster.submit(q, c, include_scores=False).result(timeout=120)
-                for q, c in requests[:4]
-            ]
-            return {r.model_version for r in checks} == {"v0003"}
-
-        assert wait_until(v3_reached_everywhere, timeout_s=30.0)
-        for instance, candidates in requests:
-            ranked, scores = expected_answer(cluster_tuner, instance, candidates)
-            response = cluster.submit(instance, candidates).result(timeout=120)
-            assert response.model_version == "v0003"
-            assert_response_matches(response, ranked, scores)
-        after = cluster.stats()["cluster"]
-        assert after["encode_cache_hits"] > before["encode_cache_hits"], (
-            "hot-swap re-scoring never reused a cached encoding"
-        )
-
-    def test_disabled_cache_reports_no_lookups(self, make_cluster):
-        requests = workload_requests(6, seed=82)
-        cluster = make_cluster(n_workers=1, encode_cache_rows=0)
-        for instance, candidates in requests:
-            cluster.submit(instance, candidates).result(timeout=120)
-        stats = cluster.stats()["cluster"]
-        assert stats["encode_cache_hits"] == 0
-        assert stats["encode_cache_misses"] == 0
-
-
 class TestFloat32Serving:
-    def test_top_k_agreement_against_float64(self, make_cluster, cluster_tuner):
-        """The opt-in float32 path must track the float64 ranking closely on
-        the preset suite: identical top-1 and near-identical top-8 sets."""
-        requests = workload_requests(16, seed=91)
-        f64 = make_cluster(n_workers=1)
-        f32 = make_cluster(n_workers=1, dtype="float32")
-        overlaps = []
-        top1_matches = 0
-        for instance, candidates in requests:
-            a = f64.submit(instance, candidates, top_k=8).result(timeout=120)
-            b = f32.submit(instance, candidates, top_k=8).result(timeout=120)
-            assert b.scores is not None and b.scores.dtype == np.float32
-            assert np.allclose(
-                np.asarray(b.scores, dtype=np.float64),
-                np.asarray(a.scores, dtype=np.float64),
-                rtol=1e-4,
-                atol=1e-5,
-            )
-            set_a = {v.as_tuple() for v in a.ranked}
-            set_b = {v.as_tuple() for v in b.ranked}
-            overlaps.append(len(set_a & set_b) / max(len(set_a), 1))
-            top1_matches += a.ranked[0] == b.ranked[0]
-        assert float(np.mean(overlaps)) >= 0.9, overlaps
-        assert top1_matches >= int(0.9 * len(requests))
-
     def test_float64_default_stays_bit_identical(self, make_cluster, cluster_tuner):
-        """The bit-identity guarantee is pinned to the default dtype."""
+        """Served scores are float64, bit-identical to the oracle."""
         requests = workload_requests(6, seed=92)
         cluster = make_cluster(n_workers=1)
         for instance, candidates in requests:

@@ -1,11 +1,10 @@
-"""Unit tests for the score slab ring and the instance-keyed encode cache."""
+"""Unit tests for the score slab ring."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.service.cache import EncodeCache
 from repro.service.shm import (
     DEFAULT_SLOT_BYTES,
     ScoreSlabRing,
@@ -106,79 +105,3 @@ class TestSlabRing:
 
     def test_default_slot_fits_preset_score_array(self):
         assert DEFAULT_SLOT_BYTES >= 8640 * 8
-
-
-class TestEncodeCache:
-    def _x(self, rows, seed=0):
-        return np.random.default_rng(seed).standard_normal((rows, 7))
-
-    def test_second_touch_defers_first_insert(self):
-        """Default policy: the first put records, only a repeat stores."""
-        cache = EncodeCache(max_rows=100)
-        X = self._x(10)
-        cache.put(1, 42, X)  # first touch: recorded, not copied
-        assert len(cache) == 0
-        assert cache.snapshot()["encode_cache_deferred"] == 1
-        cache.put(1, 42, X)  # the encode repeated: now it is stored
-        hit = cache.get(1, 42)
-        assert hit is not None and np.array_equal(hit, X)
-        # a different candidate set for the same instance starts over
-        cache.put(1, 43, self._x(10, seed=1))
-        assert cache.get(1, 43) is None
-
-    def test_second_touch_repeats_after_eviction(self):
-        """An evicted entry must re-prove demand before being re-stored."""
-        cache = EncodeCache(max_rows=10)
-        X = self._x(10)
-        cache.put(1, 1, X)
-        cache.put(1, 1, X)  # stored
-        cache.put(2, 1, self._x(10, seed=2))
-        cache.put(2, 1, self._x(10, seed=2))  # stored; evicts key 1
-        assert cache.get(1, 1) is None
-        cache.put(1, 1, X)  # first touch again, not stored
-        assert cache.get(1, 1) is None
-        cache.put(1, 1, X)
-        assert cache.get(1, 1) is not None
-
-    def test_hit_requires_matching_candidates_hash(self):
-        cache = EncodeCache(max_rows=100, second_touch=False)
-        X = self._x(10)
-        cache.put(1, 42, X)
-        hit = cache.get(1, 42)
-        assert hit is not None and np.array_equal(hit, X)
-        assert cache.get(1, 43) is None  # same instance, different candidates
-        assert cache.get(2, 42) is None  # different instance
-
-    def test_entries_are_owned_readonly_copies(self):
-        cache = EncodeCache(max_rows=100, second_touch=False)
-        X = self._x(4)
-        cache.put(1, 42, X)
-        X[:] = 0.0  # caller scribbles on its scratch buffer
-        hit = cache.get(1, 42)
-        assert hit.flags.writeable is False
-        assert not np.array_equal(hit, X)
-
-    def test_lru_eviction_bounds_total_rows(self):
-        cache = EncodeCache(max_rows=25, second_touch=False)
-        for key in range(4):
-            cache.put(key, 1, self._x(10, seed=key))
-        assert len(cache) == 2  # 40 rows inserted, only 20 fit
-        assert cache.get(0, 1) is None  # oldest evicted
-        assert cache.get(3, 1) is not None
-        assert cache.snapshot()["encode_cache_evictions"] == 2
-
-    def test_oversized_entry_skipped(self):
-        cache = EncodeCache(max_rows=5, second_touch=False)
-        cache.put(1, 1, self._x(10))
-        assert len(cache) == 0
-
-    def test_snapshot_and_hit_rate(self):
-        cache = EncodeCache(max_rows=100, second_touch=False)
-        cache.put(1, 1, self._x(10))
-        cache.get(1, 1)
-        cache.get(2, 1)
-        snap = cache.snapshot()
-        assert snap["encode_cache_hits"] == 1
-        assert snap["encode_cache_misses"] == 1
-        assert snap["encode_cache_rows"] == 10
-        assert cache.hit_rate == 0.5

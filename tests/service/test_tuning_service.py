@@ -7,7 +7,7 @@ import pytest
 
 from repro.features.encoder import FeatureEncoder
 from repro.service.server import TuningService
-from repro.stencil.suite import benchmark_by_id
+from repro.stencil.suite import TEST_BENCHMARKS, benchmark_by_id
 from repro.tuning.presets import preset_candidates
 from repro.tuning.space import patus_space
 
@@ -61,6 +61,38 @@ class TestEquivalence:
         responses = run(main())
         for q, cands, response in zip(insts, cand_sets, responses):
             assert response.ranked == trained_tuner.rank_candidates(q, cands)
+
+    @pytest.mark.parametrize("explicit", [False, True], ids=["presets", "explicit"])
+    def test_scores_independent_of_batch_composition(self, registry, explicit):
+        """One request's scores are the same bytes served alone or inside a
+        micro-batch of other distinct instances."""
+        target, *others = TEST_BENCHMARKS
+        cands = _candidates(target, n=45) if explicit else None
+
+        async def alone():
+            async with TuningService(registry) as service:
+                return await service.rank(target, cands)
+
+        async def batched():
+            async with TuningService(registry) as service:
+                # odd-sized neighbours ahead of it: a stacked matrix product
+                # would put the target's rows at other offsets than solo
+                responses = await asyncio.gather(
+                    *(
+                        service.rank(q, _candidates(q, n=45, seed=i))
+                        for i, q in enumerate(others)
+                    ),
+                    service.rank(target, cands),
+                )
+                return service.stats(), responses[-1]
+
+        solo = run(alone())
+        stats, mixed = run(batched())
+        assert stats["batches_total"] == 1
+        assert stats["max_batch_size"] == len(TEST_BENCHMARKS) >= 9
+        assert not solo.cached and not mixed.cached
+        assert mixed.scores.tobytes() == solo.scores.tobytes()
+        assert mixed.ranked == solo.ranked
 
     def test_default_candidates_are_presets(self, registry, trained_tuner):
         inst = benchmark_by_id("edge-512x512")
@@ -226,8 +258,8 @@ class TestModelVersioning:
         assert service.telemetry.failed_total == 1
 
     def test_unencodable_instance_fails_alone(self, registry):
-        """A kernel beyond the encoder's max_radius must not poison the
-        fused scoring pass for the rest of its micro-batch."""
+        """A kernel beyond the encoder's max_radius must fail alone, not
+        the rest of its micro-batch."""
         from repro.stencil.instance import StencilInstance
         from repro.stencil.kernel import StencilKernel
         from repro.stencil.shapes import laplacian
