@@ -82,13 +82,7 @@ from repro.autotune.autotuner import OrdinalAutotuner
 from repro.autotune.training import TrainingSetBuilder
 from repro.machine.executor import SimulatedMachine
 from repro.obs.audit import AuditJournal
-from repro.obs.ledger import (
-    append_row,
-    check_regression,
-    format_report,
-    git_sha,
-    ledger_row,
-)
+from repro.obs.ledger import append_row, ledger_row, record_run
 from repro.obs.metrics import Histogram
 from repro.obs.slo import SLOEngine, default_objectives
 from repro.obs.trace import TraceConfig, stage_breakdown, write_jsonl
@@ -831,33 +825,23 @@ def main() -> None:
     print(f"wrote {OUT_PATH}")
     # longitudinal ledger + trailing-median sentinel (report-only: the
     # sentinel's verdict gates nothing until the history is deep enough)
-    metrics = {
-        "cluster_rps": headline["cluster_rps"],
-        "speedup_vs_single_process": headline["speedup_vs_single_process"],
-        "cluster_latency_p99_ms": headline["cluster_stats"].get(
-            "latency_p99_ms", 0.0
-        ),
-    }
-    report = check_regression(
+    record_run(
         HISTORY_PATH,
         "cluster",
-        metrics,
+        {
+            "cluster_rps": headline["cluster_rps"],
+            "speedup_vs_single_process": headline["speedup_vs_single_process"],
+            "cluster_latency_p99_ms": headline["cluster_stats"].get(
+                "latency_p99_ms", 0.0
+            ),
+        },
         {
             "cluster_rps": ("higher", 0.5),
             "speedup_vs_single_process": ("higher", 0.5),
             "cluster_latency_p99_ms": ("lower", 2.0),
         },
-        current_sha=git_sha(),
-    )
-    print(format_report(report))
-    append_row(
-        HISTORY_PATH,
-        ledger_row(
-            "cluster",
-            metrics,
-            extra={"n_workers": headline["n_workers"],
-                   "n_distinct": headline["n_distinct_instances"]},
-        ),
+        extra={"n_workers": headline["n_workers"],
+               "n_distinct": headline["n_distinct_instances"]},
     )
     print(f"appended cluster row to {HISTORY_PATH}")
 

@@ -31,7 +31,7 @@ import pytest
 from repro.autotune.autotuner import OrdinalAutotuner
 from repro.autotune.training import TrainingSetBuilder
 from repro.machine.executor import SimulatedMachine
-from repro.obs.ledger import append_row, ledger_row
+from repro.obs.ledger import record_run
 from repro.service import ModelRegistry, TuningService
 from repro.stencil.suite import TEST_BENCHMARKS
 from repro.tuning.presets import preset_candidates
@@ -163,17 +163,21 @@ def main() -> None:
     OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {OUT_PATH}")
     headline = rows[-1]  # the N_CONCURRENT row
-    append_row(
+    # longitudinal ledger + trailing-median sentinel (report-only)
+    record_run(
         HISTORY_PATH,
-        ledger_row(
-            "service",
-            {
-                "speedup": float(headline["speedup"]),
-                "service_rps": float(headline["service_rps"]),
-                "latency_p99_ms": float(headline["stats"]["latency_p99_ms"]),
-            },
-            extra={"n_requests": headline["n_requests"]},
-        ),
+        "service",
+        {
+            "speedup": float(headline["speedup"]),
+            "service_rps": float(headline["service_rps"]),
+            "latency_p99_ms": float(headline["stats"]["latency_p99_ms"]),
+        },
+        {
+            "speedup": ("higher", 0.5),
+            "service_rps": ("higher", 0.5),
+            "latency_p99_ms": ("lower", 2.0),
+        },
+        extra={"n_requests": headline["n_requests"]},
     )
     print(f"appended ledger row to {HISTORY_PATH}")
 

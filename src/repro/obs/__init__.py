@@ -34,6 +34,7 @@ from repro.obs.ledger import (
     git_sha,
     ledger_row,
     read_history,
+    record_run,
 )
 from repro.obs.metrics import (
     Counter,
@@ -95,6 +96,7 @@ __all__ = [
     "percentile_from_hist",
     "read_history",
     "read_jsonl",
+    "record_run",
     "sample_request",
     "stage_breakdown",
     "trace_id_for",

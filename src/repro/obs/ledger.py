@@ -7,7 +7,9 @@ ledger fixes that: each benchmark run appends one schema-versioned row
 (git SHA, cpu count, headline metrics) to ``BENCH_history.jsonl``, and
 :func:`check_regression` compares the current run against the **trailing
 median** of prior rows with per-metric tolerances — a trend-aware gate
-instead of a fixed floor.
+instead of a fixed floor.  Only rows from the same core count are
+compared: a 2-core run judged against 1-core history measures the box,
+not the change.
 
 Rows are plain JSONL so the history survives schema growth: readers skip
 rows whose ``schema`` they don't understand, and per-metric comparisons
@@ -22,9 +24,9 @@ Tolerances are ``(direction, max_ratio)`` pairs::
      "speedup":        ("higher", 0.5)}  # flag if current < 0.5 × median
 
 >>> history = [
-...     {"schema": 1, "benchmark": "cluster", "metrics": {"p99_ms": 10.0}},
-...     {"schema": 1, "benchmark": "cluster", "metrics": {"p99_ms": 12.0}},
-...     {"schema": 1, "benchmark": "cluster", "metrics": {"p99_ms": 11.0}},
+...     {"schema": 1, "benchmark": "cluster", "cpu_count": os.cpu_count() or 1,
+...      "metrics": {"p99_ms": p99}}
+...     for p99 in (10.0, 12.0, 11.0)
 ... ]
 >>> report = check_regression(history, "cluster", {"p99_ms": 25.0},
 ...                           {"p99_ms": ("lower", 2.0)})
@@ -50,6 +52,7 @@ __all__ = [
     "git_sha",
     "ledger_row",
     "read_history",
+    "record_run",
 ]
 
 LEDGER_SCHEMA_VERSION = 1
@@ -211,6 +214,11 @@ def check_regression(
     ``min_history`` prior samples are reported as ``"insufficient-history"``
     and never flagged — a fresh clone cannot fail its first run.
 
+    Only rows whose ``cpu_count`` equals this box's ``os.cpu_count()``
+    (the value :func:`ledger_row` stamps) are compared, so history from
+    other hardware reads as ``"insufficient-history"`` instead of a false
+    flag or a false pass.
+
     Two degenerate-window guards keep the median honest:
 
     * rows whose ``git_sha`` equals ``current_sha`` are excluded — a
@@ -223,9 +231,12 @@ def check_regression(
     """
     if isinstance(history, (str, Path)):
         history = read_history(history)
+    cpu_count = os.cpu_count() or 1
     prior = [
         dict(row) for row in history
-        if row.get("benchmark") == benchmark and isinstance(row.get("metrics"), dict)
+        if row.get("benchmark") == benchmark
+        and row.get("cpu_count") == cpu_count
+        and isinstance(row.get("metrics"), dict)
     ]
     if current_sha and current_sha != "unknown":
         prior = [row for row in prior if row.get("git_sha") != current_sha]
@@ -236,6 +247,7 @@ def check_regression(
         "flagged": [],
         "checks": {},
         "n_history": len(prior),
+        "cpu_count": cpu_count,
         "window": int(window),
     }
     for name, tol in tolerances.items():
@@ -291,7 +303,7 @@ def format_report(report: Mapping) -> str:
     """Human-readable one-line-per-metric rendering of a sentinel report."""
     lines = [
         f"regression check [{report['benchmark']}] "
-        f"history={report['n_history']} "
+        f"cpus={report['cpu_count']} history={report['n_history']} "
         f"{'OK' if report['ok'] else 'REGRESSED: ' + ', '.join(report['flagged'])}"
     ]
     for name, check in sorted(report.get("checks", {}).items()):
@@ -305,3 +317,26 @@ def format_report(report: Mapping) -> str:
         else:
             lines.append(f"  {name}: {verdict}")
     return "\n".join(lines)
+
+
+def record_run(
+    path: "str | Path",
+    benchmark: str,
+    metrics: Mapping[str, float],
+    tolerances: Mapping[str, tuple],
+    extra: "Mapping | None" = None,
+) -> dict:
+    """Check one benchmark run against its history, then append it.
+
+    Builds the run's row with :func:`ledger_row`, runs the report-only
+    :func:`check_regression` against the ledger at ``path`` (leaving out
+    rows of the row's own ``git_sha``), prints :func:`format_report`,
+    appends the row and returns the report.
+    """
+    row = ledger_row(benchmark, metrics, extra=extra)
+    report = check_regression(
+        path, benchmark, row["metrics"], tolerances, current_sha=row["git_sha"]
+    )
+    print(format_report(report))
+    append_row(path, row)
+    return report

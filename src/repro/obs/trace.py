@@ -9,8 +9,9 @@ stage                     what the time is
 ========================  =====================================================
 ``dispatch``              coordinator: route + pickle + pipe write
 ``worker-ingress``        pipe transit + worker inbox/loop scheduling wait
-``service-queue``         micro-batcher wait + in-batch wait before the
-                          request is scored (or, cache path, until answered)
+``service-queue``         wait behind the batch in flight + in-batch wait
+                          before the request is scored (or, cache path,
+                          until answered)
 ``encode``                the request's own ``FeatureEncoder.factor`` call
 ``score``                 the request's own ``decision_function`` call
 ``service-finish``        argsort / materialize / future resolution

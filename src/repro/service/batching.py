@@ -1,12 +1,14 @@
 """Micro-batching: coalesce concurrent requests into one processing pass.
 
 Ranking one candidate set is a single small matrix-vector product, so the
-dominant serving cost is per-request overhead — the Python round trip.  Micro-batching amortizes it: requests that arrive while a
-batch is in flight are queued, and the worker drains everything immediately
-available (up to ``max_batch_size``), waiting at most ``max_delay_s`` after
-the first item to let stragglers join.  Under heavy concurrency batches run
-full and throughput approaches the per-query scoring limit; a lone request pays at
-most the configured delay.
+dominant serving cost is per-request overhead — the Python round trip.
+Micro-batching amortizes it with a work-conserving rule: whenever the
+worker is free it takes everything already queued (up to
+``max_batch_size``) as one batch and processes it at once — there is no
+timer and no wait for stragglers.  Requests that arrive while a batch is
+being processed queue up and form the next batch, so under load batches
+fill on their own, while a lone request is processed on the next
+event-loop turn.
 
 :class:`MicroBatcher` is policy-free plumbing: it neither knows what an
 item is nor what processing means — the tuning service hands it a
@@ -27,19 +29,11 @@ Processor = Callable[[Sequence[Any]], "Awaitable[None] | None"]
 class MicroBatcher:
     """Queue + worker turning a stream of items into micro-batches."""
 
-    def __init__(
-        self,
-        process: Processor,
-        max_batch_size: int = 64,
-        max_delay_s: float = 0.002,
-    ) -> None:
+    def __init__(self, process: Processor, max_batch_size: int = 64) -> None:
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if max_delay_s < 0:
-            raise ValueError(f"max_delay_s must be >= 0, got {max_delay_s}")
         self._process = process
         self.max_batch_size = max_batch_size
-        self.max_delay_s = max_delay_s
         self._queue: "asyncio.Queue[Any]" = asyncio.Queue()
         self._worker: "asyncio.Task | None" = None
         self._stopping = False
@@ -90,9 +84,8 @@ class MicroBatcher:
     async def _run(self) -> None:
         while True:
             batch = [await self._queue.get()]
-            self._drain_ready(batch)
-            if len(batch) < self.max_batch_size and self.max_delay_s > 0:
-                await self._wait_for_stragglers(batch)
+            while len(batch) < self.max_batch_size and not self._queue.empty():
+                batch.append(self._queue.get_nowait())
             try:
                 result = self._process(batch)
                 if asyncio.iscoroutine(result):
@@ -105,25 +98,3 @@ class MicroBatcher:
             finally:
                 for _ in batch:
                     self._queue.task_done()
-
-    def _drain_ready(self, batch: list) -> None:
-        """Pull every immediately available item, up to the batch cap."""
-        while len(batch) < self.max_batch_size:
-            try:
-                batch.append(self._queue.get_nowait())
-            except asyncio.QueueEmpty:
-                return
-
-    async def _wait_for_stragglers(self, batch: list) -> None:
-        """Give late arrivals up to ``max_delay_s`` to join the batch."""
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.max_delay_s
-        while len(batch) < self.max_batch_size:
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                return
-            try:
-                batch.append(await asyncio.wait_for(self._queue.get(), remaining))
-            except asyncio.TimeoutError:
-                return
-            self._drain_ready(batch)

@@ -362,7 +362,6 @@ class ServiceCluster:
         restart_workers: bool = True,
         max_restarts: int = 3,
         max_batch_size: int = 64,
-        max_batch_delay_s: float = 0.002,
         cache_entries: int = 4096,
         latency_window: int = 4096,
         max_cached_models: int = 8,
@@ -427,7 +426,6 @@ class ServiceCluster:
         self.config = WorkerConfig(
             default_model=default_model,
             max_batch_size=max_batch_size,
-            max_batch_delay_s=max_batch_delay_s,
             cache_entries=cache_entries,
             latency_window=latency_window,
             max_cached_models=max_cached_models,

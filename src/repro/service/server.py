@@ -6,7 +6,9 @@ queries and answering with the model's best-first ordering.  Three layers
 make it fast under load:
 
 1. **Micro-batching** — concurrent requests are coalesced by a
-   :class:`~repro.service.batching.MicroBatcher`; one batch resolves its
+   work-conserving :class:`~repro.service.batching.MicroBatcher`: a batch
+   is whatever is queued when the loop is free, taken with no timer, so a
+   lone request never waits for company.  One batch resolves its
    model refs and cache lookups together, deduplicates identical queries,
    and scores each remaining query from its factored feature rows
    (``FeatureEncoder.factor`` + ``decision_function``) — the ``(n, 19)``
@@ -133,7 +135,6 @@ class TuningService:
         encoder: "FeatureEncoder | None" = None,
         default_model: str = LATEST,
         max_batch_size: int = 64,
-        max_batch_delay_s: float = 0.002,
         cache_entries: int = 4096,
         latency_window: int = 4096,
         max_cached_models: int = 8,
@@ -164,11 +165,7 @@ class TuningService:
         #: span ``process`` label for traced requests (the cluster worker
         #: overrides this with its worker identity)
         self.trace_process = "service"
-        self._batcher = MicroBatcher(
-            self._process_batch,
-            max_batch_size=max_batch_size,
-            max_delay_s=max_batch_delay_s,
-        )
+        self._batcher = MicroBatcher(self._process_batch, max_batch_size=max_batch_size)
 
     @classmethod
     def from_worker_config(cls, registry: ModelRegistry, config) -> "TuningService":
@@ -184,7 +181,6 @@ class TuningService:
             registry,
             default_model=config.default_model,
             max_batch_size=config.max_batch_size,
-            max_batch_delay_s=config.max_batch_delay_s,
             cache_entries=config.cache_entries,
             latency_window=config.latency_window,
             max_cached_models=config.max_cached_models,

@@ -91,7 +91,6 @@ class WorkerConfig:
 
     default_model: str = LATEST
     max_batch_size: int = 64
-    max_batch_delay_s: float = 0.002
     cache_entries: int = 4096
     latency_window: int = 4096
     max_cached_models: int = 8

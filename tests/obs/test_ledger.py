@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
+from repro.obs import ledger
 from repro.obs.ledger import (
     LEDGER_SCHEMA_VERSION,
     append_row,
@@ -14,6 +16,7 @@ from repro.obs.ledger import (
     git_sha,
     ledger_row,
     read_history,
+    record_run,
 )
 
 
@@ -65,9 +68,14 @@ class TestRows:
         assert read_history(tmp_path / "absent.jsonl") == []
 
 
-def _history(benchmark, values, metric="latency_ms"):
+#: the core count ``ledger_row`` stamps and ``check_regression`` defaults to
+CPUS = os.cpu_count() or 1
+
+
+def _history(benchmark, values, metric="latency_ms", cpu_count=CPUS):
     return [
-        {"schema": 1, "benchmark": benchmark, "metrics": {metric: v}}
+        {"schema": 1, "benchmark": benchmark, "cpu_count": cpu_count,
+         "metrics": {metric: v}}
         for v in values
     ]
 
@@ -124,6 +132,48 @@ class TestSentinel:
         assert report["n_history"] == 3
         assert report["ok"]
 
+    def test_other_core_counts_do_not_compare(self):
+        """History from another core count is not evidence about this run."""
+        other = 1 if CPUS != 1 else 2
+        elsewhere = _history("cluster", [10.0, 11.0, 10.5], cpu_count=other)
+        report = check_regression(
+            elsewhere, "cluster", {"latency_ms": 1000.0},
+            {"latency_ms": ("lower", 2.0)},
+        )
+        assert report["ok"]
+        assert report["cpu_count"] == CPUS
+        assert report["n_history"] == 0
+        assert report["checks"]["latency_ms"]["verdict"] == "insufficient-history"
+        here = check_regression(
+            _history("cluster", [10.0, 11.0, 10.5]), "cluster",
+            {"latency_ms": 1000.0}, {"latency_ms": ("lower", 2.0)},
+        )
+        assert here["flagged"] == ["latency_ms"]
+
+    def test_record_run_checks_then_appends(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ledger, "git_sha", lambda cwd=None: "me")
+        path = tmp_path / "history.jsonl"
+        for i, v in enumerate((10.0, 11.0, 10.5)):
+            append_row(path, {**_history("cluster", [v])[0], "git_sha": f"old{i}"})
+        report = record_run(
+            path, "cluster", {"latency_ms": 50.0},
+            {"latency_ms": ("lower", 2.0)}, extra={"n": 4},
+        )
+        assert report["flagged"] == ["latency_ms"]
+        assert "REGRESSED: latency_ms" in capsys.readouterr().out
+        row = read_history(path)[-1]
+        assert row["metrics"] == {"latency_ms": 50.0}
+        assert row["extra"] == {"n": 4}
+        assert row["cpu_count"] == CPUS
+        assert row["git_sha"] == "me"
+        # the appended row is this commit's own: a re-run is judged
+        # against the older commits only
+        again = record_run(
+            path, "cluster", {"latency_ms": 10.0}, {"latency_ms": ("lower", 2.0)}
+        )
+        assert again["n_history"] == 3
+        assert len(read_history(path)) == 5
+
     def test_window_limits_lookback(self):
         # old terrible epoch, recent good epoch; window sees only the recent
         history = _history("cluster", [100.0] * 5 + [10.0, 10.5, 11.0])
@@ -175,6 +225,7 @@ class TestSentinel:
                     {
                         "schema": 1,
                         "benchmark": "cluster",
+                        "cpu_count": CPUS,
                         "git_sha": f"commit{i}",
                         "metrics": {"latency_ms": v + jitter},
                     }
@@ -202,6 +253,7 @@ class TestSentinel:
                 {
                     "schema": 1,
                     "benchmark": "cluster",
+                    "cpu_count": CPUS,
                     "git_sha": "me",
                     "metrics": {"latency_ms": v},
                 }

@@ -30,7 +30,7 @@ class TestCoalescing:
         batches = []
 
         async def main():
-            batcher = MicroBatcher(batches.append, max_batch_size=4, max_delay_s=0.01)
+            batcher = MicroBatcher(batches.append, max_batch_size=4)
             await batcher.start()
             await asyncio.gather(*(batcher.submit(i) for i in range(10)))
             await batcher.stop()
@@ -43,13 +43,59 @@ class TestCoalescing:
         batches = []
 
         async def main():
-            batcher = MicroBatcher(batches.append, max_batch_size=64, max_delay_s=0.0)
+            batcher = MicroBatcher(batches.append, max_batch_size=64)
             await batcher.start()
             await asyncio.gather(*(batcher.submit(i) for i in range(8)))
             await batcher.stop()
 
         run(main())
         assert sum(len(b) for b in batches) == 8
+
+    def test_lone_submit_processed_without_waiting(self):
+        """A lone item is processed within a few loop turns, not on a timer."""
+        batches = []
+
+        async def main():
+            batcher = MicroBatcher(batches.append, max_batch_size=64)
+            await batcher.start()
+            await batcher.submit("only")
+            for _ in range(5):
+                if batches:
+                    break
+                await asyncio.sleep(0)
+            assert batches == [["only"]]
+            await batcher.stop()
+
+        run(main())
+
+    def test_arrivals_during_a_batch_form_the_next_batch(self):
+        """Work-conserving: everything queued while a batch runs is the next batch."""
+        batches = []
+
+        async def main():
+            release = asyncio.Event()
+
+            async def process(batch):
+                batches.append(list(batch))
+                if batch == ["first"]:
+                    await release.wait()
+
+            batcher = MicroBatcher(process, max_batch_size=64)
+            await batcher.start()
+            await batcher.submit("first")
+            for _ in range(5):
+                if batches:
+                    break
+                await asyncio.sleep(0)
+            assert batches == [["first"]]
+            # the processor is mid-batch: these queue behind it
+            for i in range(5):
+                await batcher.submit(i)
+            release.set()
+            await batcher.stop()
+
+        run(main())
+        assert batches == [["first"], [0, 1, 2, 3, 4]]
 
     def test_async_processor_supported(self):
         seen = []
@@ -81,7 +127,7 @@ class TestLifecycle:
         seen = []
 
         async def main():
-            batcher = MicroBatcher(seen.extend, max_batch_size=2, max_delay_s=0.0)
+            batcher = MicroBatcher(seen.extend, max_batch_size=2)
             await batcher.start()
             for i in range(7):
                 await batcher.submit(i)
@@ -147,5 +193,3 @@ class TestLifecycle:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError, match="max_batch_size"):
             MicroBatcher(lambda b: None, max_batch_size=0)
-        with pytest.raises(ValueError, match="max_delay_s"):
-            MicroBatcher(lambda b: None, max_delay_s=-1.0)
