@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.machine.executor import SimulatedMachine
-from repro.obs.ledger import append_row, ledger_row
+from repro.obs.ledger import record_run
 from repro.stencil.execution import StencilExecution
 from repro.stencil.suite import benchmark_by_id
 from repro.tuning.presets import preset_candidates
@@ -154,16 +154,18 @@ def main() -> None:
     OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {OUT_PATH}")
     headline = rows[-1]  # the 8640-candidate preset scale
-    append_row(
+    record_run(
         HISTORY_PATH,
-        ledger_row(
-            "batch",
-            {
-                "speedup": float(headline["speedup"]),
-                "per_eval_batch_us": float(headline["per_eval_batch_us"]),
-            },
-            extra={"n": headline["n"]},
-        ),
+        "batch",
+        {
+            "speedup": float(headline["speedup"]),
+            "per_eval_batch_us": float(headline["per_eval_batch_us"]),
+        },
+        {
+            "speedup": ("higher", 0.5),
+            "per_eval_batch_us": ("lower", 2.0),
+        },
+        extra={"n": headline["n"]},
     )
     print(f"appended ledger row to {HISTORY_PATH}")
 

@@ -42,8 +42,10 @@ worker-ingress / service-queue / encode / score / service-finish /
 reply-egress) that must cover ≥90% of each traced request's wall clock;
 tracing overhead is bounded (off ≤1%, sampled ≤5%, scaled by
 ``TRACE_OVERHEAD_SLACK`` for noisy shared runners); merged-histogram
-p50/p99 must agree with the pooled-window percentiles within one bucket
-width.  The outcome lands as a ``"kind": "attribution"`` row in
+p50/p99 must agree within one bucket width with the exact percentiles of
+the ``service_latency_s`` of every response the sampled run received
+(warm-up included) — the very samples the workers' histograms recorded.
+The outcome lands as a ``"kind": "attribution"`` row in
 ``BENCH_cluster.json`` and the merged spans as ``TRACE_cluster.jsonl``.
 
 ``--chaos`` runs the resilience drill instead: the same 256-request mixed
@@ -82,7 +84,7 @@ from repro.autotune.autotuner import OrdinalAutotuner
 from repro.autotune.training import TrainingSetBuilder
 from repro.machine.executor import SimulatedMachine
 from repro.obs.audit import AuditJournal
-from repro.obs.ledger import append_row, ledger_row, record_run
+from repro.obs.ledger import record_run
 from repro.obs.metrics import Histogram
 from repro.obs.slo import SLOEngine, default_objectives
 from repro.obs.trace import TraceConfig, stage_breakdown, write_jsonl
@@ -215,8 +217,13 @@ def _serve_cluster(
     trace: "TraceConfig | None" = None,
     audit: "AuditJournal | None" = None,
     transport: str = "pipe",
-) -> tuple[list, float, dict, list]:
-    """The cluster side: concurrent submits, worker-side presets, thrifty wire."""
+) -> tuple[list, float, dict, list, list]:
+    """The cluster side: concurrent submits, worker-side presets, thrifty wire.
+
+    Returns the timed answers' top-k lists, the timed wall clock, the
+    cluster stats, the merged spans, and the ``service_latency_s`` of every
+    response (warm-up included).
+    """
     with ServiceCluster(
         registry_root,
         n_workers=n_workers,
@@ -232,8 +239,7 @@ def _serve_cluster(
             cluster.submit(q, top_k=1, include_scores=False)
             for q in _warm_instances(cluster)
         ]
-        for fut in warm_futures:
-            fut.result(timeout=300)
+        warm = [fut.result(timeout=300) for fut in warm_futures]
         start = time.perf_counter()
         futures = [
             cluster.submit(q, top_k=TOP_K, include_scores=False) for q in instances
@@ -242,7 +248,8 @@ def _serve_cluster(
         elapsed = time.perf_counter() - start
         stats = cluster.stats()
         spans = cluster.trace_spans()
-    return [a.ranked for a in answers], elapsed, stats, spans
+    latencies = [r.service_latency_s for r in warm + answers]
+    return [a.ranked for a in answers], elapsed, stats, spans, latencies
 
 
 def bench_cluster(
@@ -260,7 +267,7 @@ def bench_cluster(
     with TemporaryDirectory() as tmp:
         registry = ModelRegistry(tmp)
         registry.publish(tuner.model, tuner.fingerprint(), tags=("prod",))
-        clustered, cluster_s, cluster_stats, _ = _serve_cluster(
+        clustered, cluster_s, cluster_stats, _, _ = _serve_cluster(
             tmp, instances, n_workers
         )
         single, single_s, single_stats = asyncio.run(_serve_single(registry, instances))
@@ -386,8 +393,8 @@ def bench_chaos(
             events = list(cluster.events)
         # corrupted tags.json was contained: the mirror still resolves
         assert ModelRegistry(tmp).resolve("prod") == "v0001"
-        # crash-safety of the slab transport: a soak full of SIGKILLs,
-        # restarts and quarantines must leave nothing behind in /dev/shm
+        # a soak full of SIGKILLs, restarts and quarantines must leave
+        # nothing behind in /dev/shm
         leaked = leaked_segments(f"rsl-{os.getpid()}-")
         assert leaked == [], f"leaked shared-memory segments: {leaked}"
 
@@ -499,8 +506,9 @@ def bench_trace(
     noisy shared runners.  The sampled run's merged spans yield the
     per-stage attribution (must cover ≥90% of traced wall clock per
     request) and are dumped to ``TRACE_cluster.jsonl``; its cluster stats
-    cross-check merged-histogram p50/p99 against the pooled-window
-    percentiles (must agree within one bucket width).
+    cross-check merged-histogram p50/p99 against ``np.percentile`` over
+    every response's ``service_latency_s`` (must agree within one bucket
+    width).
     """
     tuner = tuner or _train_tuner()
     instances = _workload(n_requests, n_distinct)
@@ -518,6 +526,7 @@ def bench_trace(
     sampled_answers: list = []
     sampled_stats: dict = {}
     sampled_spans: list = []
+    sampled_latencies: list = []
     sampled_audit: "AuditJournal | None" = None
     with TemporaryDirectory() as tmp:
         registry = ModelRegistry(tmp)
@@ -528,7 +537,7 @@ def bench_trace(
                 # audit journal enabled: both instrumented modes pay the
                 # per-answer audit append; only the baseline stays bare
                 audit = AuditJournal() if cfg is not None else None
-                answers, elapsed, stats, spans = _serve_cluster(
+                answers, elapsed, stats, spans, latencies = _serve_cluster(
                     tmp, instances, n_workers, trace=cfg, audit=audit
                 )
                 times[name].append(elapsed)
@@ -536,6 +545,7 @@ def bench_trace(
                     sampled_answers = answers
                     sampled_stats = stats
                     sampled_spans = spans
+                    sampled_latencies = latencies
                     sampled_audit = audit
     for q, a in zip(instances, sampled_answers):
         assert a == oracle[q], "tracing must never change an answer"
@@ -563,20 +573,23 @@ def bench_trace(
     merged = sampled_stats["cluster"]
     hist = merged["latency_hist"]
     agreement = {}
+    assert hist["count"] == len(sampled_latencies), (
+        "the merged histogram must hold exactly the run's responses"
+    )
     for q in (50, 99):
         hist_ms = merged[f"latency_p{q}_ms"]
-        pooled_ms = merged[f"latency_pooled_p{q}_ms"]
+        exact_ms = float(np.percentile(sampled_latencies, q)) * 1e3
         tol_ms = max(
             _hist_bucket_width_ms(hist, hist_ms),
-            _hist_bucket_width_ms(hist, pooled_ms),
+            _hist_bucket_width_ms(hist, exact_ms),
         )
-        assert abs(hist_ms - pooled_ms) <= tol_ms, (
-            f"merged-histogram p{q} {hist_ms:.3f}ms disagrees with pooled "
-            f"p{q} {pooled_ms:.3f}ms beyond one bucket width ({tol_ms:.3f}ms)"
+        assert abs(hist_ms - exact_ms) <= tol_ms, (
+            f"merged-histogram p{q} {hist_ms:.3f}ms disagrees with exact "
+            f"p{q} {exact_ms:.3f}ms beyond one bucket width ({tol_ms:.3f}ms)"
         )
         agreement[f"p{q}"] = {
             "hist_ms": hist_ms,
-            "pooled_ms": pooled_ms,
+            "exact_ms": exact_ms,
             "bucket_width_ms": tol_ms,
         }
 
@@ -621,7 +634,8 @@ def bench_trace(
             "stage attribution >= 90% of traced wall clock per request; "
             "tracing-off overhead <= 1%, sampled <= 5% vs untraced "
             "(x TRACE_OVERHEAD_SLACK); merged-histogram p50/p99 within one "
-            "bucket width of pooled-window percentiles"
+            "bucket width of the exact percentiles of every response's "
+            "service latency"
         ),
     }
 
@@ -649,10 +663,10 @@ def bench_socket(
     with TemporaryDirectory() as tmp:
         registry = ModelRegistry(tmp)
         registry.publish(tuner.model, tuner.fingerprint(), tags=("prod",))
-        piped, pipe_s, pipe_stats, _ = _serve_cluster(
+        piped, pipe_s, pipe_stats, _, _ = _serve_cluster(
             tmp, instances, n_workers, transport="pipe"
         )
-        socketed, socket_s, socket_stats, _ = _serve_cluster(
+        socketed, socket_s, socket_stats, _, _ = _serve_cluster(
             tmp, instances, n_workers, transport="socket"
         )
     assert socketed == piped, (
@@ -732,7 +746,7 @@ def test_smoke_trace_attribution(tuner):
     with TemporaryDirectory() as tmp:
         registry = ModelRegistry(tmp)
         registry.publish(tuner.model, tuner.fingerprint(), tags=("prod",))
-        answers, _, stats, spans = _serve_cluster(
+        answers, _, stats, spans, _ = _serve_cluster(
             tmp, instances, n_workers=2, trace=TraceConfig(sample_rate=1.0)
         )
     for q, a in zip(instances, answers):
@@ -890,18 +904,22 @@ def main_chaos() -> None:
         r for r in payload.get("results", []) if r.get("kind") != "chaos"
     ] + [row]
     OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    append_row(
+    record_run(
         HISTORY_PATH,
-        ledger_row(
-            "cluster-chaos",
-            {
-                "elapsed_s": row["elapsed_s"],
-                "completed": row["completed"],
-                "degraded_answers": row["degraded_answers"],
-                "audit_entries": row["audit_entries"],
-            },
-            extra={"n_workers": row["n_workers"]},
-        ),
+        "cluster-chaos",
+        {
+            "elapsed_s": row["elapsed_s"],
+            "completed": row["completed"],
+            "degraded_answers": row["degraded_answers"],
+            "audit_entries": row["audit_entries"],
+        },
+        {
+            "elapsed_s": ("lower", 2.0),
+            "completed": ("higher", 1.0),
+            "degraded_answers": ("lower", 2.0),
+            "audit_entries": ("higher", 0.5),
+        },
+        extra={"n_workers": row["n_workers"]},
     )
     print(f"merged chaos row into {OUT_PATH}; journal in {AUDIT_PATH}")
 
@@ -940,18 +958,22 @@ def main_trace() -> None:
     ] + [row]
     ARTIFACTS.mkdir(parents=True, exist_ok=True)
     OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    append_row(
+    record_run(
         HISTORY_PATH,
-        ledger_row(
-            "cluster-trace",
-            {
-                "overhead_off": row["overhead_off"],
-                "overhead_sampled": row["overhead_sampled"],
-                "coverage_mean": row["coverage_mean"],
-                "audit_entries": row["audit_entries"],
-            },
-            extra={"sample_rate": row["sample_rate"]},
-        ),
+        "cluster-trace",
+        {
+            "overhead_off": row["overhead_off"],
+            "overhead_sampled": row["overhead_sampled"],
+            "coverage_mean": row["coverage_mean"],
+            "audit_entries": row["audit_entries"],
+        },
+        {
+            "overhead_off": ("lower", 2.0),
+            "overhead_sampled": ("lower", 2.0),
+            "coverage_mean": ("higher", 0.9),
+            "audit_entries": ("higher", 0.5),
+        },
+        extra={"sample_rate": row["sample_rate"]},
     )
     print(f"merged attribution row into {OUT_PATH}; spans in {TRACE_PATH}")
 
@@ -984,17 +1006,20 @@ def main_socket() -> None:
     ] + [row]
     ARTIFACTS.mkdir(parents=True, exist_ok=True)
     OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    append_row(
+    record_run(
         HISTORY_PATH,
-        ledger_row(
-            "cluster-socket",
-            {
-                "socket_rps": row["socket_rps"],
-                "socket_over_pipe": row["socket_over_pipe"],
-                "weighted_ratio": row["weighted_ratio"],
-            },
-            extra={"n_workers": row["n_workers"]},
-        ),
+        "cluster-socket",
+        {
+            "socket_rps": row["socket_rps"],
+            "socket_over_pipe": row["socket_over_pipe"],
+            "weighted_ratio": row["weighted_ratio"],
+        },
+        {
+            "socket_rps": ("higher", 0.5),
+            "socket_over_pipe": ("lower", 2.0),
+            "weighted_ratio": ("higher", 0.85),
+        },
+        extra={"n_workers": row["n_workers"]},
     )
     print(f"merged socket row into {OUT_PATH}; appended cluster-socket ledger row")
 

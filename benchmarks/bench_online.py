@@ -57,7 +57,7 @@ from repro.online import (
     mean_model_tau,
 )
 from repro.obs.audit import AuditJournal
-from repro.obs.ledger import append_row, ledger_row
+from repro.obs.ledger import record_run
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.quality import QualityWatch
 from repro.obs.slo import SLOEngine, SLObjective
@@ -473,7 +473,13 @@ def main() -> None:
             cluster["adapting"]["realized_tau_online"]
         ),
     }
-    append_row(HISTORY_PATH, ledger_row("online", metrics))
+    # every metric is a Kendall τ or a τ gain: higher is better
+    record_run(
+        HISTORY_PATH,
+        "online",
+        metrics,
+        {name: ("higher", 0.5) for name in metrics},
+    )
     print(f"appended ledger row to {HISTORY_PATH}")
 
 

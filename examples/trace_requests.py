@@ -6,13 +6,11 @@ exists for:
 
 * **where does a request's time go?** — every traced request carries a
   root span plus stage spans from both sides of the worker pipe
-  (dispatch, transport, micro-batch queue, fused encode, slab score,
-  reply); ``stage_breakdown`` folds them into a per-stage attribution;
+  (dispatch, transport, micro-batch queue, encode, score, reply); ``stage_breakdown`` folds them into a per-stage attribution;
 * **which requests are traced?** — a deterministic request-id hash, so
   reruns trace the identical subset at any sample rate;
 * **what do cluster-wide percentiles look like?** — per-worker
-  fixed-bucket histograms merge exactly (no window eviction bias) and
-  render as Prometheus-style exposition text for scrapers.
+  fixed-bucket histograms merge exactly and render as Prometheus-style exposition text for scrapers.
 
 Run::
 
@@ -100,10 +98,7 @@ def main() -> None:
 
         print("== cluster-wide percentiles (exactly merged histograms) ==")
         print(f"  p50 {merged['latency_p50_ms']:7.3f} ms   "
-              f"p99 {merged['latency_p99_ms']:7.3f} ms   "
-              f"(pooled-window cross-check: "
-              f"p50 {merged['latency_pooled_p50_ms']:.3f} ms, "
-              f"p99 {merged['latency_pooled_p99_ms']:.3f} ms)\n")
+              f"p99 {merged['latency_p99_ms']:7.3f} ms\n")
 
         print("== Prometheus-style exposition (excerpt) ==")
         text = exposition(merged, prefix="repro_cluster")

@@ -4,12 +4,13 @@ Every ``BENCH_*.json`` is overwritten in place, so before this module the
 repo had no longitudinal record of its own performance — a 2× latency
 inflation that still cleared the one-shot CI floor was invisible.  The
 ledger fixes that: each benchmark run appends one schema-versioned row
-(git SHA, cpu count, headline metrics) to ``BENCH_history.jsonl``, and
-:func:`check_regression` compares the current run against the **trailing
-median** of prior rows with per-metric tolerances — a trend-aware gate
-instead of a fixed floor.  Only rows from the same core count are
-compared: a 2-core run judged against 1-core history measures the box,
-not the change.
+(git SHA, dirty flag, cpu count, headline metrics) to
+``BENCH_history.jsonl``, and :func:`check_regression` compares the
+current run against the **trailing median** of prior rows with
+per-metric tolerances — a trend-aware gate instead of a fixed floor.
+Only clean rows from the same core count are compared: a 2-core run
+judged against 1-core history measures the box, not the change, and a
+row measured on uncommitted edits measures no commit at all.
 
 Rows are plain JSONL so the history survives schema growth: readers skip
 rows whose ``schema`` they don't understand, and per-metric comparisons
@@ -50,6 +51,7 @@ __all__ = [
     "append_row",
     "check_regression",
     "git_sha",
+    "is_dirty",
     "ledger_row",
     "read_history",
     "record_run",
@@ -75,6 +77,37 @@ def git_sha(cwd: "str | Path | None" = None) -> str:
         return "unknown"
     sha = out.stdout.strip()
     return sha if out.returncode == 0 and sha else "unknown"
+
+
+def is_dirty(ledger: "str | Path") -> bool:
+    """Whether a tracked file other than ``ledger`` differs from HEAD.
+
+    ``ledger`` is the file the row is appended to: it is tracked, and
+    benchmarks append to it during a run, so its own change does not
+    count.  Untracked files never count.  False outside a checkout.
+    """
+    try:
+        top = subprocess.run(
+            ["git", "rev-parse", "--show-toplevel"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        status = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=no"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return False
+    if top.returncode != 0 or status.returncode != 0:
+        return False
+    # porcelain paths are relative to the repository root
+    own = Path(os.path.relpath(Path(ledger).resolve(), top.stdout.strip()))
+    return any(
+        Path(line[3:]) != own for line in status.stdout.splitlines() if line
+    )
 
 
 def ledger_row(
@@ -217,7 +250,8 @@ def check_regression(
     Only rows whose ``cpu_count`` equals this box's ``os.cpu_count()``
     (the value :func:`ledger_row` stamps) are compared, so history from
     other hardware reads as ``"insufficient-history"`` instead of a false
-    flag or a false pass.
+    flag or a false pass.  Rows stamped ``dirty`` (measured on
+    uncommitted edits, see :func:`record_run`) are never compared.
 
     Two degenerate-window guards keep the median honest:
 
@@ -236,6 +270,7 @@ def check_regression(
         dict(row) for row in history
         if row.get("benchmark") == benchmark
         and row.get("cpu_count") == cpu_count
+        and not row.get("dirty")
         and isinstance(row.get("metrics"), dict)
     ]
     if current_sha and current_sha != "unknown":
@@ -306,6 +341,11 @@ def format_report(report: Mapping) -> str:
         f"cpus={report['cpu_count']} history={report['n_history']} "
         f"{'OK' if report['ok'] else 'REGRESSED: ' + ', '.join(report['flagged'])}"
     ]
+    if report.get("dirty"):
+        lines.append(
+            "  this run is dirty (uncommitted tracked edits): its row is "
+            "never compared against"
+        )
     for name, check in sorted(report.get("checks", {}).items()):
         verdict = check.get("verdict", "?")
         if "median" in check and "ratio" in check:
@@ -328,15 +368,18 @@ def record_run(
 ) -> dict:
     """Check one benchmark run against its history, then append it.
 
-    Builds the run's row with :func:`ledger_row`, runs the report-only
-    :func:`check_regression` against the ledger at ``path`` (leaving out
-    rows of the row's own ``git_sha``), prints :func:`format_report`,
-    appends the row and returns the report.
+    Builds the run's row with :func:`ledger_row` and stamps it ``dirty``
+    per :func:`is_dirty`, runs the report-only :func:`check_regression`
+    against the ledger at ``path`` (leaving out rows of the row's own
+    ``git_sha``), prints :func:`format_report` (which says when the run
+    is dirty), appends the row and returns the report.
     """
     row = ledger_row(benchmark, metrics, extra=extra)
+    row["dirty"] = is_dirty(path)
     report = check_regression(
         path, benchmark, row["metrics"], tolerances, current_sha=row["git_sha"]
     )
+    report["dirty"] = row["dirty"]
     print(format_report(report))
     append_row(path, row)
     return report

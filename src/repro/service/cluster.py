@@ -81,14 +81,12 @@ both sync drivers and asyncio applications can use the cluster directly.
 same :mod:`~repro.service.ipc` frames (so everything above — routing,
 health, retries, chaos — is transport-blind):
 
-* ``"pipe"`` (default) — a forked process on a duplex pipe, with
-  shared-memory score slabs when ``score_transport="shm"``;
+* ``"pipe"`` (default) — a forked process on a duplex pipe;
 * ``"socket"`` — a forked process that dials back into a coordinator
   loopback listener and talks the length-prefixed frame codec
   (:mod:`~repro.service.frames`): the cross-host wire, exercised
-  locally.  Scores ride the wire (pickles), never slabs — this is the
-  remote posture, and ``tests/cluster/test_socket_transport.py`` pins
-  that its answers are *bit-identical* to pipe answers anyway;
+  locally.  ``tests/cluster/test_socket_transport.py`` pins that its
+  answers are *bit-identical* to pipe answers;
 * ``remote_workers=["host:port", ...]`` — workers on other machines
   behind a :class:`~repro.service.remote.RemoteWorkerHost`; the
   coordinator dials out, opens with :class:`~repro.service.ipc.Hello`,
@@ -97,18 +95,19 @@ health, retries, chaos — is transport-blind):
 
 ``worker_weights`` feeds the router's weighted rendezvous election: a
 weight-2 host takes ~2× the shards of a weight-1 host, weight 0 drains.
+
+On every link a reply carries its score array, pickled inside the reply
+frame, only when the request set ``include_scores=True``; no link uses
+shared memory.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
-import itertools
 import multiprocessing as mp
-import os
 import threading
 import time
-import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -144,7 +143,6 @@ from repro.service.ipc import (
 )
 from repro.service.registry import LATEST
 from repro.service.routing import ShardRouter
-from repro.service.shm import ScoreSlabRing, SlabRef
 from repro.service.telemetry import merge_stats
 from repro.service.transport import accept_connection, dial, listen
 from repro.service.worker import WorkerConfig, socket_worker_main, worker_main
@@ -155,11 +153,6 @@ from repro.tuning.vector import TuningVector
 from repro.util.rng import hash_bits
 
 __all__ = ["ClusterResponse", "ServiceCluster"]
-
-#: per-process ordinal distinguishing the slab segments of multiple
-#: clusters living in one coordinator process (test suites routinely run
-#: several); the pid in the name handles multiple coordinator processes
-_CLUSTER_TAGS = itertools.count()
 
 
 def _settle(future: "concurrent.futures.Future", value=None, error: "Exception | None" = None) -> None:
@@ -181,31 +174,6 @@ def _settle(future: "concurrent.futures.Future", value=None, error: "Exception |
             future.set_result(value)
     except concurrent.futures.InvalidStateError:
         pass  # cancelled (or already settled) by the caller: drop the answer
-
-
-class _SlabLease:
-    """One response's claim on a shared-memory score slot.
-
-    Releasing (idempotently) hands the slot back to the worker's slab
-    ring; the response's ``scores`` view must not be read afterwards.
-    Garbage collection releases as a safety net — a caller that drops its
-    response without calling :meth:`release` degrades ring occupancy only
-    until the collector runs, never permanently.
-
-    The safety net is a ``weakref.finalize``, **not** ``__del__``: the
-    finalizer registry keeps the ring (and its mapping) strongly alive
-    until every lease has released, so even when a response ends up in a
-    garbage cycle the cycle collector cannot unmap the segment before
-    the release callback writes its flag byte.
-    """
-
-    __slots__ = ("_finalizer", "__weakref__")
-
-    def __init__(self, ring: ScoreSlabRing, ref: SlabRef) -> None:
-        self._finalizer = weakref.finalize(self, ring.release, ref)
-
-    def release(self) -> None:
-        self._finalizer()
 
 
 @dataclass(frozen=True)
@@ -236,11 +204,6 @@ class ClusterResponse:
     #: coordinator served a fallback (cache replay or local scoring);
     #: ``model_version`` still names exactly the model that computed it
     degraded: bool = False
-    #: when ``scores`` is a zero-copy view into the worker's slab ring,
-    #: the lease guarding its slot; None means the scores (if any) are an
-    #: ordinary owned array.  Not part of equality — two answers with the
-    #: same content are the same answer regardless of transport.
-    slab_lease: "_SlabLease | None" = field(default=None, compare=False, repr=False)
 
     @property
     def best(self) -> TuningVector:
@@ -248,14 +211,10 @@ class ClusterResponse:
         return self.ranked[0]
 
     def release(self) -> None:
-        """Return this answer's slab slot to its worker (idempotent).
+        """A no-op: ``scores`` is an owned array that stays readable.
 
-        After release ``scores`` must not be read — copy first if the
-        array outlives the answer.  A no-op for pickle-transported or
-        score-free responses, so callers can release unconditionally.
+        Kept only for callers that still release their responses.
         """
-        if self.slab_lease is not None:
-            self.slab_lease.release()
 
 
 @dataclass
@@ -363,14 +322,12 @@ class ServiceCluster:
         max_restarts: int = 3,
         max_batch_size: int = 64,
         cache_entries: int = 4096,
-        latency_window: int = 4096,
         max_cached_models: int = 8,
         feedback_every: int = 0,
         resilience: "ResilienceConfig | None" = None,
         chaos: "ChaosConfig | dict[int, ChaosConfig] | None" = None,
         trace: "TraceConfig | None" = None,
         audit: "AuditJournal | None" = None,
-        score_transport: str = "shm",
         transport: "str | dict[int, str]" = "pipe",
         worker_weights: "dict[int, float] | None" = None,
         remote_workers: "Sequence[str] | None" = None,
@@ -379,10 +336,6 @@ class ServiceCluster:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         if feedback_every < 0:
             raise ValueError(f"feedback_every must be >= 0, got {feedback_every}")
-        if score_transport not in ("shm", "pickle"):
-            raise ValueError(
-                f"score_transport must be 'shm' or 'pickle', got {score_transport!r}"
-            )
         named = (
             transport.values() if isinstance(transport, dict) else (transport,)
         )
@@ -427,27 +380,10 @@ class ServiceCluster:
             default_model=default_model,
             max_batch_size=max_batch_size,
             cache_entries=cache_entries,
-            latency_window=latency_window,
             max_cached_models=max_cached_models,
             feedback_every=feedback_every,
             heartbeat_interval_s=self.resilience.heartbeat_interval_s,
         )
-        #: "shm" parks score arrays in per-worker shared-memory slab rings
-        #: (zero-copy views on the answer path); "pickle" forces the plain
-        #: pipe transport everywhere — the cross-host posture, and what
-        #: "shm" itself degrades to per-array when a ring is full
-        self.score_transport = score_transport
-        self._cluster_tag = next(_CLUSTER_TAGS)
-        #: per-spawn ordinal so a restarted worker gets a fresh segment
-        #: name (its predecessor's, possibly still mapped by late views,
-        #: is already unlinked)
-        self._slab_gen = itertools.count()
-        #: every ring this cluster ever created, by segment name — late
-        #: replies can reference a replaced worker's ring, so rings stay
-        #: resolvable (already unlinked, mappings valid) until stop()
-        self._slab_rings: "dict[str, ScoreSlabRing]" = {}
-        #: the ring each live worker currently writes into
-        self._worker_ring: "dict[int, ScoreSlabRing]" = {}
         self._ctx = _context(start_method)
         self.router = ShardRouter(range(self.n_total), weights=worker_weights)
         for worker_id in range(self.n_total):  # routable only once spawned
@@ -596,17 +532,6 @@ class ServiceCluster:
             for worker_id in self.router.alive():
                 self.router.mark_dead(worker_id)
             self._started = False
-            rings = list(self._slab_rings.values())
-            self._slab_rings.clear()
-            self._worker_ring.clear()
-        # every reader is joined by now, so no new slab views can be
-        # handed out; unlink removes the names (workers are gone) and
-        # close drops our mapping unless an outstanding response still
-        # exports it — in which case GC finishes the job, safely, because
-        # the segment no longer has a name to leak
-        for ring in rings:
-            ring.unlink()
-            ring.close()
         for pending in stranded:
             _settle(
                 pending.future,
@@ -810,8 +735,8 @@ class ServiceCluster:
         """Aggregated cluster telemetry plus each worker's own snapshot.
 
         ``cluster`` merges every worker's counters (summed totals, merged
-        hit rate, cluster-wide p50/p99 over the concatenated latency
-        windows — see :func:`repro.service.telemetry.merge_stats`);
+        hit rate, cluster-wide p50/p99 from the exactly merged latency
+        histograms — see :func:`repro.service.telemetry.merge_stats`);
         ``workers`` maps worker id to its raw ``service.stats()``.
 
         Every non-dead worker is asked — including quarantined ones (a
@@ -860,9 +785,7 @@ class ServiceCluster:
                     handle.stats_pending.pop(req_id, None)
                 missing.append(worker_id)
         merged = merge_stats(
-            [r.stats for r in replies.values()] + [None] * len(never_connected),
-            [r.latency_window for r in replies.values()]
-            + [None] * len(never_connected),
+            [r.stats for r in replies.values()] + [None] * len(never_connected)
         )
         with self._lock:
             health = {w: b.snapshot() for w, b in sorted(self._health.items())}
@@ -1043,28 +966,6 @@ class ServiceCluster:
         chaos = self._chaos.get(worker_id)
         if chaos is not None:
             config = dataclasses.replace(config, chaos=chaos)
-        ring: "ScoreSlabRing | None" = None
-        if self.score_transport == "shm" and kind == "pipe":
-            # slab rings are the pipe transport's zero-copy reply path;
-            # socket workers deliberately run the cross-host posture —
-            # scores ride the wire — so a remote fleet behaves exactly
-            # like the locally tested one.  short name: macOS caps shm
-            # names at 31 bytes.  pid + cluster tag + worker id + spawn
-            # generation is unique per segment
-            name = (
-                f"rsl-{os.getpid()}-{self._cluster_tag}"
-                f"-{worker_id}-{next(self._slab_gen)}"
-            )
-            try:
-                ring = ScoreSlabRing.create(
-                    name, config.slab_slots, config.slab_slot_bytes
-                )
-            except Exception:
-                # no shared memory on this platform/container: the worker
-                # gets no slab_name and pickles every score array
-                ring = None
-        if ring is not None:
-            config = dataclasses.replace(config, slab_name=ring.name)
         if kind == "socket":
             # the worker dials *back*: the coordinator listens on an
             # ephemeral loopback port and ships only the port number into
@@ -1088,9 +989,6 @@ class ServiceCluster:
                 # is no link to serve on — reap it and surface the fault
                 process.terminate()
                 process.join(timeout=5.0)
-                if ring is not None:
-                    ring.unlink()
-                    ring.close()
                 raise
             finally:
                 listener.close()
@@ -1120,13 +1018,7 @@ class ServiceCluster:
                 parent_conn.close()
                 process.terminate()
                 process.join(timeout=5.0)
-                if ring is not None:
-                    ring.unlink()
-                    ring.close()
                 return None
-            if ring is not None:
-                self._slab_rings[ring.name] = ring
-                self._worker_ring[worker_id] = ring
             self._workers[worker_id] = handle
             self.router.mark_alive(worker_id)
             # a fresh process takes the worker id over with a clean slate:
@@ -1161,7 +1053,7 @@ class ServiceCluster:
         shard — exactly how it treats a crashed-and-unrestartable local
         worker.
         """
-        config = self.config  # slab_name stays None: shm cannot cross hosts
+        config = self.config
         chaos = self._chaos.get(worker_id)
         if chaos is not None:
             config = dataclasses.replace(config, chaos=chaos)
@@ -1273,23 +1165,18 @@ class ServiceCluster:
                 self._health[handle.worker_id].record_success()
             if pending is None:
                 # a late reply for a request already retried, expired or
-                # requeued: nobody will consume it, so its slab slot (if
-                # any) must go straight back to the worker
-                if isinstance(msg, RankReply):
-                    self._release_ref(msg.scores)
+                # requeued: its first settle stands
                 return
             if isinstance(msg, ErrorReply):
                 _settle(pending.future, error=msg.error)
             else:
-                ranked, scores, lease = self._materialize_reply(pending, msg)
+                ranked = self._rehydrate_ranked(pending, msg)
                 if self._fallback_store is not None and pending.top_k is None:
-                    # the store outlives the lease: hand it owned bytes,
-                    # never a view into a slot about to be recycled
                     self._fallback_store.remember(
                         pending.instance,
                         pending.candidates,
                         ranked,
-                        scores if lease is None or scores is None else np.array(scores),
+                        msg.scores,
                         msg.model_version,
                     )
                 if self.tracer is not None and pending.trace_ctx is not None:
@@ -1316,14 +1203,13 @@ class ServiceCluster:
                     pending.future,
                     ClusterResponse(
                         ranked=ranked,
-                        scores=scores,
+                        scores=msg.scores,
                         model_version=msg.model_version,
                         cached=msg.cached,
                         latency_s=time.perf_counter() - pending.submitted_at,
                         service_latency_s=msg.service_latency_s,
                         worker_id=msg.worker_id,
                         attempts=pending.attempts,
-                        slab_lease=lease,
                     ),
                 )
         elif isinstance(msg, Heartbeat):
@@ -1336,15 +1222,6 @@ class ServiceCluster:
             if fut is not None:
                 _settle(fut, msg)
         elif isinstance(msg, FeedbackRecord):
-            if isinstance(msg.scores, SlabRef):
-                ring = self._slab_rings.get(msg.scores.name)
-                if ring is None:  # pragma: no cover - stop raced the record
-                    return
-                # copy out and release immediately: records fan out to
-                # listeners that buffer them far beyond the slot's life
-                scores = np.array(ring.view(msg.scores))
-                ring.release(msg.scores)
-                msg = dataclasses.replace(msg, scores=scores)
             self._on_feedback(msg)
 
     def _reply_candidates(self, pending: _PendingReq) -> "Sequence[TuningVector]":
@@ -1362,37 +1239,18 @@ class ServiceCluster:
             return candidates.candidates
         return candidates
 
-    def _materialize_reply(
+    def _rehydrate_ranked(
         self, pending: _PendingReq, msg: RankReply
-    ) -> "tuple[list[TuningVector], np.ndarray | None, _SlabLease | None]":
-        """Turn a wire reply into (ranked list, scores, slab lease).
+    ) -> "list[TuningVector]":
+        """A wire reply's best-first candidate list.
 
         ``ranked_idx`` replies are rehydrated against the coordinator's
-        own candidate list; slab-transported scores become read-only
-        zero-copy views guarded by a lease the caller must release.
+        own candidate list.
         """
         if msg.ranked_idx is not None:
             candidates = self._reply_candidates(pending)
-            ranked = [candidates[i] for i in msg.ranked_idx.tolist()]
-        else:
-            ranked = list(msg.ranked or ())
-        scores = msg.scores
-        lease: "_SlabLease | None" = None
-        if isinstance(scores, SlabRef):
-            ring = self._slab_rings.get(scores.name)
-            if ring is None:  # pragma: no cover - stop raced the reply
-                scores = None
-            else:
-                lease = _SlabLease(ring, scores)
-                scores = ring.view(scores)
-        return ranked, scores, lease
-
-    def _release_ref(self, scores: object) -> None:
-        """Return an unconsumed reply's slab slot (no-op for arrays/None)."""
-        if isinstance(scores, SlabRef):
-            ring = self._slab_rings.get(scores.name)
-            if ring is not None:
-                ring.release(scores)
+            return [candidates[i] for i in msg.ranked_idx.tolist()]
+        return list(msg.ranked or ())
 
     def _record_reply_trace(self, pending: _PendingReq, msg: RankReply) -> None:
         """Merge a traced reply's worker spans and close the trace.
@@ -1473,14 +1331,6 @@ class ServiceCluster:
         holds the lock and re-dispatches the returned requests outside it)."""
         self.router.mark_dead(worker_id)
         self.quarantines += 1
-        # a quarantined worker may be hung forever: unlink its slab
-        # segment *now* so a chaos run can never leak /dev/shm entries.
-        # Unlink only removes the name — both sides' mappings stay valid,
-        # so a worker that is later readmitted keeps writing into the
-        # same (now anonymous) ring without noticing
-        ring = self._worker_ring.get(worker_id)
-        if ring is not None:
-            ring.unlink()
         handle = self._workers.get(worker_id)
         orphans: list[_PendingReq] = []
         if handle is not None:
@@ -1521,14 +1371,6 @@ class ServiceCluster:
             self.router.mark_dead(handle.worker_id)
             self._health[handle.worker_id].record_failure("crash")
             self._hb_flagged.discard(handle.worker_id)
-            # the dead worker's segment loses its name immediately (a
-            # SIGKILLed worker never cleans up; the coordinator owns the
-            # lifecycle).  The ring object stays in _slab_rings so views
-            # already handed out — and any reply bytes still in the pipe —
-            # keep resolving; the replacement spawn creates a fresh ring
-            ring = self._worker_ring.pop(handle.worker_id, None)
-            if ring is not None:
-                ring.unlink()
             orphans = list(handle.pending.values())
             handle.pending.clear()
             stats_orphans = list(handle.stats_pending.values())

@@ -14,19 +14,15 @@ Deliberate wire economies, all load-bearing for throughput:
   set" — the worker regenerates (and memoizes) the paper's preset
   candidates locally instead of receiving ~8640 pickled vectors per
   request (~700 bytes instead of ~300 KB on the wire);
-* ``include_scores=False`` asks the worker to omit the full score array
-  from the reply;
+* scores ride a reply only when the request asks for them
+  (``include_scores=True``); they travel as a pickled ``float64`` array
+  inside the reply frame;
 * a :class:`RankReply` answers with ``ranked_idx`` — integer positions
   into the request's own candidate list — instead of re-pickling the
   candidate objects; the coordinator rehydrates from the list it already
   holds (explicit sets, interned sets, or its preset memo), so a
   full-ranking reply ships a ~69 KB index array instead of ~8640 pickled
   vectors, and a top-k reply ships k integers;
-* score arrays that do cross the boundary prefer the shared-memory slab
-  transport (:mod:`repro.service.shm`): the reply carries a tiny
-  :class:`~repro.service.shm.SlabRef` and the coordinator maps the bytes
-  zero-copy, with pickled arrays kept as the fallback for full rings,
-  oversized sets and cross-host futures;
 * replies produced in one worker event-loop iteration coalesce into a
   single :class:`ReplyBatch` frame — one pipe write (and one coordinator
   reader wake-up) for a whole micro-batch of answers.
@@ -37,10 +33,9 @@ continual-learning collector) ships ``candidates=None`` when the request
 used the worker's preset set, and the coordinator regenerates the
 identical list from its own memo.
 
-Determinism note: scores travel as ``float64`` bytes (slab memcpy or
-pickle), an exact byte-level round trip either way — the cross-process
-bit-identity suites in ``tests/cluster/`` compare them with
-``np.array_equal``, no tolerance.
+Determinism note: a pickled ``float64`` array is an exact byte-level
+round trip — the cross-process bit-identity suites in ``tests/cluster/``
+compare scores with ``np.array_equal``, no tolerance.
 """
 
 from __future__ import annotations
@@ -54,7 +49,6 @@ import numpy as np
 
 from repro.obs.trace import Span, TraceContext
 from repro.service.cache import InternedCandidates
-from repro.service.shm import SlabRef
 from repro.stencil.instance import StencilInstance
 from repro.tuning.vector import TuningVector
 
@@ -107,14 +101,13 @@ class RankReply:
     the request's candidate list (truncated to ``top_k`` when the request
     asked for one), which the coordinator rehydrates against the list it
     already holds.  ``ranked`` carries concrete vectors only when the
-    worker could not produce indices.  ``scores`` is a pickled array, a
-    :class:`~repro.service.shm.SlabRef` into the worker's slab ring, or
-    None when the request set ``include_scores=False``.
+    worker could not produce indices.  ``scores`` is None when the
+    request set ``include_scores=False``.
     """
 
     req_id: int
     ranked: "list[TuningVector] | None"
-    scores: "np.ndarray | SlabRef | None"
+    scores: "np.ndarray | None"
     model_version: str
     cached: bool
     #: queue-to-answer latency inside the worker's service, in seconds
@@ -160,11 +153,8 @@ class FeedbackRecord:
     instance: StencilInstance
     #: the request's explicit candidates, or None for the preset set
     candidates: "Sequence[TuningVector] | None"
-    #: full model scores aligned with the request's candidate order (a
-    #: SlabRef when the worker parked them in its slab ring; the
-    #: coordinator copies the bytes out and releases the slot before
-    #: fanning the record out to listeners)
-    scores: "np.ndarray | SlabRef"
+    #: full model scores aligned with the request's candidate order
+    scores: np.ndarray
     #: the concrete version that served the answer
     model_version: str
     worker_id: int
@@ -172,19 +162,18 @@ class FeedbackRecord:
 
 @dataclass(frozen=True)
 class StatsRequest:
-    """Ask a worker for its service stats and telemetry window."""
+    """Ask a worker for its service stats snapshot."""
 
     req_id: int
 
 
 @dataclass(frozen=True)
 class StatsReply:
-    """One worker's ``service.stats()`` snapshot plus its latency window."""
+    """One worker's ``service.stats()`` snapshot."""
 
     req_id: int
     worker_id: int
     stats: dict
-    latency_window: tuple[float, ...]
 
 
 @dataclass(frozen=True)

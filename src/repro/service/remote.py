@@ -15,9 +15,8 @@ One host accepts any number of coordinator connections (each gets its
 own serve thread), which is how a restarting coordinator re-adopts a
 remote fleet without touching the worker machines.  Requirements the
 coordinator enforces for remotes: the model registry must be reachable
-at the same filesystem root on both ends (a shared mount), and score
-transport is always wire pickles — shared-memory slabs cannot cross
-hosts, so ``Hello.config`` arrives with ``slab_name=None``.
+at the same filesystem root on both ends (a shared mount).  Scores ride
+the reply frame, as on every other link.
 
 Run one from a shell::
 

@@ -136,7 +136,6 @@ class TuningService:
         default_model: str = LATEST,
         max_batch_size: int = 64,
         cache_entries: int = 4096,
-        latency_window: int = 4096,
         max_cached_models: int = 8,
     ) -> None:
         if max_cached_models < 1:
@@ -145,7 +144,7 @@ class TuningService:
         self.encoder = encoder or FeatureEncoder()
         self.default_model = default_model
         self.cache = RankingCache(cache_entries)
-        self.telemetry = ServiceTelemetry(latency_window)
+        self.telemetry = ServiceTelemetry()
         self.max_cached_models = max_cached_models
         #: LRU of loaded models — a long-lived worker hot-swaps through
         #: many promotions, and retired versions must not accumulate
@@ -182,7 +181,6 @@ class TuningService:
             default_model=config.default_model,
             max_batch_size=config.max_batch_size,
             cache_entries=config.cache_entries,
-            latency_window=config.latency_window,
             max_cached_models=config.max_cached_models,
         )
 

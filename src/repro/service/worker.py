@@ -13,7 +13,8 @@ loop:
   ``service.rank(...)`` — so requests micro-batch *inside* the worker
   exactly as they would in a single-process service;
 * replies are sent from the loop thread only, which serializes pipe
-  writes without a lock.
+  writes without a lock; a reply carries its score array only when the
+  request set ``include_scores``.
 
 When the parent armed feedback streaming (``WorkerConfig.feedback_every``),
 the worker also rides its own service's response-hook API: every Nth
@@ -80,7 +81,6 @@ from repro.service.ipc import (
 )
 from repro.service.registry import LATEST, ModelRegistry
 from repro.service.server import TuningService
-from repro.service.shm import DEFAULT_SLOT_BYTES, DEFAULT_SLOTS, ScoreSlabRing
 
 __all__ = ["WorkerConfig", "socket_worker_main", "worker_main"]
 
@@ -92,7 +92,6 @@ class WorkerConfig:
     default_model: str = LATEST
     max_batch_size: int = 64
     cache_entries: int = 4096
-    latency_window: int = 4096
     max_cached_models: int = 8
     #: stream every Nth successful answer back to the coordinator as a
     #: :class:`~repro.service.ipc.FeedbackRecord` (0 = no feedback stream)
@@ -101,11 +100,6 @@ class WorkerConfig:
     heartbeat_interval_s: float = 0.25
     #: fault injections for chaos drills (None = behave perfectly)
     chaos: "ChaosConfig | None" = None
-    #: the coordinator-created score slab segment to attach (None: no
-    #: shared-memory transport — every score array pickles over the pipe)
-    slab_name: "str | None" = None
-    slab_slots: int = DEFAULT_SLOTS
-    slab_slot_bytes: int = DEFAULT_SLOT_BYTES
 
 
 def worker_main(worker_id: int, registry_root: str, conn: Connection, config: WorkerConfig) -> None:
@@ -179,20 +173,10 @@ async def _serve(
     # RankReply.spans back to the coordinator's recorder (same-host
     # monotonic clocks, so they compose with coordinator timestamps)
     service.trace_process = f"worker-{worker_id}"
-    ring: "ScoreSlabRing | None" = None
-    if config.slab_name:
-        try:
-            ring = ScoreSlabRing.attach(
-                config.slab_name, config.slab_slots, config.slab_slot_bytes
-            )
-        except Exception:
-            # the segment is gone or the platform refused the mapping:
-            # every score array pickles instead — slower, never wrong
-            ring = None
     sender = _ReplySender(conn)
     if config.feedback_every > 0:
         service.add_response_hook(
-            _feedback_streamer(service, sender, ring, worker_id, config)
+            _feedback_streamer(service, sender, worker_id, config)
         )
     loop = asyncio.get_running_loop()
     inbox: "asyncio.Queue[object]" = asyncio.Queue()
@@ -257,8 +241,7 @@ async def _serve(
                     StatsReply(
                         req_id=msg.req_id,
                         worker_id=worker_id,
-                        stats=_stats_with_chaos(service, chaos, ring, wire),
-                        latency_window=service.telemetry.window(),
+                        stats=_stats_with_chaos(service, chaos, wire),
                     ),
                 )
                 continue
@@ -267,7 +250,7 @@ async def _serve(
                 # happened to unpickle): losing it must not lose the worker
                 continue
             task = asyncio.create_task(
-                _handle(service, conn, sender, ring, msg, worker_id, chaos)
+                _handle(service, conn, sender, msg, worker_id, chaos)
             )
             inflight.add(task)
             task.add_done_callback(inflight.discard)
@@ -285,7 +268,6 @@ async def _serve(
 def _feedback_streamer(
     service: TuningService,
     sender: _ReplySender,
-    ring: "ScoreSlabRing | None",
     worker_id: int,
     config: WorkerConfig,
 ):
@@ -296,9 +278,7 @@ def _feedback_streamer(
     :class:`~repro.service.ipc.ReplyBatch` frames as the replies they ride
     with.  Preset requests (the service's own shared candidate list)
     travel as ``candidates=None``; the coordinator regenerates the
-    identical list from its memo.  Scores park in the slab ring when a
-    slot is free (the coordinator copies them out and releases before
-    fanning the record to listeners) and pickle otherwise.
+    identical list from its memo.
     """
     state = {"count": 0}
 
@@ -312,17 +292,11 @@ def _feedback_streamer(
             if service.is_default_set(instance.dims, candidates)
             else list(candidates)
         )
-        scores = np.asarray(response.scores)
-        payload = scores
-        if ring is not None:
-            ref = ring.write(scores)
-            if ref is not None:
-                payload = ref
         sender.send(
             FeedbackRecord(
                 instance=instance,
                 candidates=wire_candidates,
-                scores=payload,
+                scores=np.asarray(response.scores),
                 model_version=response.model_version,
                 worker_id=worker_id,
             )
@@ -345,7 +319,6 @@ async def _heartbeat_loop(conn: Connection, worker_id: int, interval_s: float) -
 def _stats_with_chaos(
     service: TuningService,
     chaos: "ChaosState | None",
-    ring: "ScoreSlabRing | None" = None,
     wire: "dict | None" = None,
 ) -> dict:
     stats = service.stats()
@@ -353,8 +326,6 @@ def _stats_with_chaos(
     # coordinator's merged stats can sum them cluster-wide
     stats["registry_corruption_detected_total"] = service.registry.corruption_detected
     stats["registry_corruption_fallbacks_total"] = service.registry.corruption_fallbacks
-    if ring is not None:
-        stats.update(ring.stats())
     if wire is not None:
         stats.update(wire)
     if chaos is not None:
@@ -366,7 +337,6 @@ async def _handle(
     service: TuningService,
     conn: Connection,
     sender: _ReplySender,
-    ring: "ScoreSlabRing | None",
     req: RankRequest,
     worker_id: int,
     chaos: "ChaosState | None" = None,
@@ -392,9 +362,6 @@ async def _handle(
     except Exception as exc:
         response, err = None, exc
     if chaos is not None:
-        # the reply's fate is decided *before* any slab write: a dropped
-        # or corrupted reply whose scores already claimed a slot would
-        # leak it forever — the coordinator never sees the ref to release
         fate = chaos.reply_fate(ordinal)
         if fate == "drop":
             return
@@ -417,18 +384,11 @@ async def _handle(
     else:  # pragma: no cover - defensive: a response without an order
         ranked = list(response.ranked)
         ranked_idx = None
-    scores: "object | None" = None
-    if req.include_scores and response.scores is not None:
-        scores = response.scores
-        if ring is not None:
-            ref = ring.write(response.scores)
-            if ref is not None:
-                scores = ref
     sender.send(
         RankReply(
             req_id=req.req_id,
             ranked=ranked,
-            scores=scores,
+            scores=response.scores if req.include_scores else None,
             model_version=response.model_version,
             cached=response.cached,
             service_latency_s=response.latency_s,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.obs.metrics import Histogram
 from repro.service.telemetry import ServiceTelemetry, merge_stats
 from tests.cluster.harness import workload_requests
 
@@ -38,12 +39,21 @@ class TestMergeStats:
     def test_pooled_percentiles_not_percentiles_of_percentiles(self):
         fast = [0.001] * 99
         slow = [0.1]
-        merged = merge_stats(
-            [{"batches_total": 0}, {"batches_total": 0}], [fast, slow]
+        snapshots = []
+        for latencies in (fast, slow):
+            telemetry = ServiceTelemetry()
+            for latency in latencies:
+                telemetry.record_completion(latency)
+            snapshots.append(telemetry.snapshot())
+        merged = merge_stats(snapshots)
+        pooled_p50 = np.percentile(np.array(fast + slow), 50)
+        h = Histogram()
+        lower, upper = h.bucket_bounds(h.bucket_index(pooled_p50))
+        assert merged["latency_p50_ms"] / 1e3 == pytest.approx(
+            pooled_p50, abs=upper - lower
         )
-        pooled = np.percentile(np.array(fast + slow), 99) * 1e3
-        assert merged["latency_p99_ms"] == pytest.approx(pooled)
-        assert merged["latency_p50_ms"] == pytest.approx(1.0)
+        # the slow worker's own p99 is 100 ms; the pooled p99 is ~2 ms
+        assert merged["latency_p99_ms"] < 10
 
     def test_empty_inputs(self):
         merged = merge_stats([])
@@ -51,12 +61,6 @@ class TestMergeStats:
         assert merged["requests_total"] == 0
         assert merged["cache_hit_rate"] == 0.0
         assert merged["latency_p99_ms"] == 0.0
-
-    def test_window_round_trips_the_deque(self):
-        telemetry = ServiceTelemetry(latency_window=3)
-        for latency in (0.1, 0.2, 0.3, 0.4):
-            telemetry.record_completion(latency)
-        assert telemetry.window() == (0.2, 0.3, 0.4)
 
 
 class TestClusterStats:

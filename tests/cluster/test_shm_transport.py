@@ -1,9 +1,9 @@
-"""Zero-copy score transport, end to end.
+"""Score transport, end to end: scores ride the reply frame.
 
-The shm transport must be invisible at the answer layer: scores arriving
-through a slab ring are bit-identical to the pickle path and to the
-single-process oracle, slots are returned when responses are consumed,
-and a run full of SIGKILLs leaves nothing behind in ``/dev/shm``.
+With ``include_scores=True`` every reply carries its score array pickled
+over the pipe, bit-identical to the single-process oracle, SIGKILLs
+included.  Responses own their scores, so ``release()`` changes nothing,
+and a run creates no shared-memory segment in ``/dev/shm``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from tests.cluster.harness import (
     assert_response_matches,
     expected_answer,
     kill_and_settle,
-    wait_until,
     workload_requests,
 )
 
@@ -29,76 +28,66 @@ needs_dev_shm = pytest.mark.skipif(
 )
 
 
+def _assert_wire_scores(response, ranked, scores) -> None:
+    """The ranking and the pickled scores equal the oracle's, bit for bit."""
+    assert response.ranked == ranked
+    assert response.scores is not None, "include_scores=True lost the scores"
+    assert np.array_equal(response.scores, scores), "scores not bit-identical"
+
+
 class TestShmTransport:
-    def test_slab_scores_bit_identical_to_oracle(self, make_cluster, cluster_tuner):
-        requests = workload_requests(20, seed=71)
-        cluster = make_cluster(n_workers=2)
-        for instance, candidates in requests:
-            ranked, scores = expected_answer(cluster_tuner, instance, candidates)
-            response = cluster.submit(instance, candidates).result(timeout=120)
-            assert_response_matches(response, ranked, scores)
-            response.release()
-        stats = cluster.stats()["cluster"]
-        assert stats["slab_writes_total"] > 0, "no reply ever used the slab ring"
-
-    def test_release_after_consume_returns_slots(self, make_cluster):
-        requests = workload_requests(12, seed=72)
-        cluster = make_cluster(n_workers=2)
-        responses = [
-            cluster.submit(q, c).result(timeout=120) for q, c in requests
-        ]
-        held = sum(ring.in_use() for ring in cluster._worker_ring.values())
-        slabbed = [r for r in responses if r.slab_lease is not None]
-        assert held == len(slabbed), "slot refcounts diverged from live leases"
-        for response in responses:
-            response.release()
-        assert sum(ring.in_use() for ring in cluster._worker_ring.values()) == 0
-
     def test_pickle_transport_stays_bit_identical(self, make_cluster, cluster_tuner):
         requests = workload_requests(12, seed=73)
-        cluster = make_cluster(n_workers=2, score_transport="pickle")
-        assert not cluster._worker_ring  # no rings created at all
+        cluster = make_cluster(n_workers=2)
         for instance, candidates in requests:
             ranked, scores = expected_answer(cluster_tuner, instance, candidates)
-            response = cluster.submit(instance, candidates).result(timeout=120)
-            assert response.slab_lease is None
-            assert_response_matches(response, ranked, scores)
-        assert cluster.stats()["cluster"]["slab_writes_total"] == 0
+            response = cluster.submit(
+                instance, candidates, include_scores=True
+            ).result(timeout=120)
+            _assert_wire_scores(response, ranked, scores)
 
-    def test_dropped_responses_release_via_gc(self, make_cluster):
-        """A caller that never calls release() only borrows slots until the
-        collector runs — ring occupancy must not decay permanently."""
-        import gc
-
-        requests = workload_requests(8, seed=74)
-        cluster = make_cluster(n_workers=1)
-        for instance, candidates in requests:
-            cluster.submit(instance, candidates).result(timeout=120)  # dropped
-        gc.collect()
-        assert sum(ring.in_use() for ring in cluster._worker_ring.values()) == 0
+    def test_scores_readable_after_release(self, make_cluster, cluster_tuner):
+        requests = workload_requests(6, seed=72)
+        cluster = make_cluster(n_workers=2)
+        responses = [
+            cluster.submit(q, c, include_scores=True).result(timeout=120)
+            for q, c in requests
+        ]
+        for response in responses:
+            response.release()
+            response.release()  # idempotent
+        for (instance, candidates), response in zip(requests, responses):
+            ranked, scores = expected_answer(cluster_tuner, instance, candidates)
+            _assert_wire_scores(response, ranked, scores)
 
     @needs_dev_shm
-    def test_stop_unlinks_all_segments(self, make_cluster):
+    def test_run_creates_no_segments(self, make_cluster):
         requests = workload_requests(8, seed=75)
         cluster = make_cluster(n_workers=2)
         for instance, candidates in requests:
-            cluster.submit(instance, candidates).result(timeout=120)
-        assert leaked_segments(_SHM_PREFIX)  # rings exist while running
+            cluster.submit(instance, candidates, include_scores=True).result(
+                timeout=120
+            )
+        assert leaked_segments(_SHM_PREFIX) == []
         cluster.stop()
         assert leaked_segments(_SHM_PREFIX) == []
 
     @needs_dev_shm
     def test_sigkill_mid_stream_leaks_no_segments(self, make_cluster, cluster_tuner):
-        """SIGKILL a worker with replies inflight: the replacement gets a
-        fresh ring and stop() leaves /dev/shm empty."""
+        """SIGKILL a worker with replies inflight: every answer still
+        carries oracle-identical scores, and /dev/shm stays empty."""
         requests = workload_requests(30, seed=76)
         cluster = make_cluster(n_workers=2)
-        futures = [cluster.submit(q, c) for q, c in requests[:15]]
+        futures = [
+            cluster.submit(q, c, include_scores=True) for q, c in requests[:15]
+        ]
         kill_and_settle(cluster, 0)
-        futures += [cluster.submit(q, c) for q, c in requests[15:]]
+        futures += [
+            cluster.submit(q, c, include_scores=True) for q, c in requests[15:]
+        ]
         for (instance, candidates), future in zip(requests, futures):
             ranked, scores = expected_answer(cluster_tuner, instance, candidates)
-            assert_response_matches(future.result(timeout=120), ranked, scores)
+            _assert_wire_scores(future.result(timeout=120), ranked, scores)
         cluster.stop()
         assert leaked_segments(_SHM_PREFIX) == []
 

@@ -14,9 +14,7 @@ is the proof:
 * remote workers (a dialed :class:`~repro.service.remote.RemoteWorkerHost`)
   serve the same bytes, a failed dial degrades to a reported missing
   worker, and a severed remote link re-dials like a crashed local worker
-  restarts;
-* shm score transport degrades gracefully: socket workers ship scores on
-  the wire (no slab lease), same answers.
+  restarts.
 """
 
 from __future__ import annotations
@@ -154,22 +152,6 @@ class TestSocketResilience:
         assert cluster.corrupted_frames >= 1
         assert cluster.frame_decode_bugs == 0
         assert cluster.crashes == 0, "frame corruption must never look like a crash"
-
-    def test_shm_degrades_to_wire_scores_for_socket_workers(
-        self, make_cluster, cluster_tuner
-    ):
-        """``score_transport='shm'`` on a socket fleet: no slab leases (the
-        cross-host posture ships scores on the wire), same bytes."""
-        requests = workload_requests(6, seed=61)
-        cluster = make_cluster(
-            n_workers=2, transport="socket", score_transport="shm"
-        )
-        for (instance, candidates), response in zip(
-            requests, _drain(cluster, requests)
-        ):
-            assert response.slab_lease is None
-            ranked, scores = expected_answer(cluster_tuner, instance, candidates)
-            assert_response_matches(response, ranked, scores)
 
 
 class TestRemoteWorkers:

@@ -14,6 +14,7 @@ from repro.obs.ledger import (
     check_regression,
     format_report,
     git_sha,
+    is_dirty,
     ledger_row,
     read_history,
     record_run,
@@ -173,6 +174,62 @@ class TestSentinel:
         )
         assert again["n_history"] == 3
         assert len(read_history(path)) == 5
+
+    def test_dirty_rows_are_never_compared(self):
+        """Rows measured on uncommitted edits name no commit: a run is
+        judged against the clean rows only."""
+        clean = _history("cluster", [10.0, 11.0, 10.5])
+        dirty = [{**row, "dirty": True} for row in _history("cluster", [99.0] * 5)]
+        report = check_regression(
+            dirty, "cluster", {"latency_ms": 1000.0},
+            {"latency_ms": ("lower", 2.0)},
+        )
+        assert report["ok"] and report["n_history"] == 0
+        mixed = check_regression(
+            clean + dirty, "cluster", {"latency_ms": 25.0},
+            {"latency_ms": ("lower", 2.0)},
+        )
+        assert mixed["n_history"] == 3
+        assert mixed["checks"]["latency_ms"]["median"] == 10.5
+        assert mixed["flagged"] == ["latency_ms"]
+
+    def test_record_run_stamps_and_reports_dirty(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "history.jsonl"
+        for dirty in (False, True):
+            monkeypatch.setattr(ledger, "is_dirty", lambda _path, d=dirty: d)
+            report = record_run(
+                path, "cluster", {"latency_ms": 1.0}, {"latency_ms": ("lower", 2.0)}
+            )
+            out = capsys.readouterr().out
+            assert report["dirty"] is dirty
+            assert read_history(path)[-1]["dirty"] is dirty
+            assert ("this run is dirty" in out) is dirty
+
+    def test_is_dirty_ignores_the_ledger_and_untracked_files(
+        self, tmp_path, monkeypatch
+    ):
+        import subprocess
+
+        def git(*args):
+            subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                cwd=tmp_path, check=True, capture_output=True,
+            )
+
+        git("init", "-q")
+        (tmp_path / "bench").mkdir()
+        ledger_path = tmp_path / "bench" / "history.jsonl"
+        ledger_path.write_text("")
+        (tmp_path / "code.py").write_text("x = 1\n")
+        git("add", "-A")
+        git("commit", "-q", "-m", "seed")
+        monkeypatch.chdir(tmp_path / "bench")
+        assert not is_dirty(ledger_path)
+        append_row(ledger_path, {"schema": 1})  # the run's own append
+        (tmp_path / "scratch.txt").write_text("untracked\n")
+        assert not is_dirty(ledger_path)
+        (tmp_path / "code.py").write_text("x = 2\n")
+        assert is_dirty(ledger_path)
 
     def test_window_limits_lookback(self):
         # old terrible epoch, recent good epoch; window sees only the recent

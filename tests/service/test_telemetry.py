@@ -5,43 +5,35 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.obs.metrics import Histogram
+from repro.obs.metrics import Histogram, percentile_from_hist
 from repro.service.telemetry import ServiceTelemetry, merge_stats
+
+
+def _within_one_bucket(estimate_s: float, exact_s: float) -> bool:
+    """Whether a histogram percentile sits within one bucket of the exact."""
+    h = Histogram()
+    lower, upper = h.bucket_bounds(h.bucket_index(exact_s))
+    return abs(estimate_s - exact_s) <= upper - lower
 
 
 class TestPercentileEdgeCases:
     def test_empty_window_reports_zero(self):
-        t = ServiceTelemetry()
-        assert t.latency_percentile(50) == 0.0
-        assert t.latency_percentile(99) == 0.0
-        snap = t.snapshot()
+        snap = ServiceTelemetry().snapshot()
         assert snap["latency_p50_ms"] == 0.0
         assert snap["latency_p99_ms"] == 0.0
 
     def test_single_sample_all_percentiles_equal(self):
         t = ServiceTelemetry()
         t.record_completion(0.25)
-        assert t.latency_percentile(0) == pytest.approx(0.25)
-        assert t.latency_percentile(50) == pytest.approx(0.25)
-        assert t.latency_percentile(99) == pytest.approx(0.25)
-        assert t.latency_percentile(100) == pytest.approx(0.25)
+        hist = t.snapshot()["latency_hist"]
+        for q in (0, 50, 99, 100):
+            assert _within_one_bucket(percentile_from_hist(hist, q), 0.25)
 
     def test_single_failed_sample_still_counts_latency(self):
         t = ServiceTelemetry()
         t.record_completion(0.1, failed=True)
         assert t.failed_total == 1 and t.completed_total == 0
-        assert t.latency_percentile(50) == pytest.approx(0.1)
-
-    def test_window_eviction_drops_old_latencies(self):
-        t = ServiceTelemetry(latency_window=2)
-        for latency in (10.0, 1.0, 2.0):
-            t.record_completion(latency)
-        # the 10 s outlier aged out of the 2-entry window
-        assert t.latency_percentile(100) == pytest.approx(2.0)
-
-    def test_window_size_validated(self):
-        with pytest.raises(ValueError, match="latency_window"):
-            ServiceTelemetry(latency_window=0)
+        assert _within_one_bucket(t.snapshot()["latency_p50_ms"] / 1e3, 0.1)
 
 
 class TestCounters:
@@ -97,9 +89,7 @@ def _busy_snapshot(latencies, **counter_overrides):
 class TestMergeStatsEdgeCases:
     def test_empty_windows_merge_to_zero_percentiles(self):
         a, b = ServiceTelemetry(), ServiceTelemetry()
-        merged = merge_stats(
-            [a.snapshot(), b.snapshot()], [a.window(), b.window()]
-        )
+        merged = merge_stats([a.snapshot(), b.snapshot()])
         assert merged["workers"] == 2
         assert merged["requests_total"] == 0
         assert merged["latency_p50_ms"] == 0.0
@@ -116,7 +106,7 @@ class TestMergeStatsEdgeCases:
     def test_single_worker_merge_is_identity_on_percentiles(self):
         t = _busy_snapshot([0.01, 0.02, 0.03, 0.04])
         snap = t.snapshot()
-        merged = merge_stats([snap], [t.window()])
+        merged = merge_stats([snap])
         assert merged["workers"] == 1
         assert merged["requests_total"] == 4
         # one worker: the merged histogram IS the worker's histogram, and the
@@ -130,69 +120,52 @@ class TestMergeStatsEdgeCases:
         """Failures carry latencies too — the merge must not divide by zero
         or hide the latency story of a fully-failing cluster."""
         workers = [_busy_snapshot([0.05, 0.1], failed=True) for _ in range(3)]
-        merged = merge_stats(
-            [w.snapshot() for w in workers], [w.window() for w in workers]
-        )
+        merged = merge_stats([w.snapshot() for w in workers])
         assert merged["completed_total"] == 0
         assert merged["failed_total"] == 6
         assert merged["cache_hit_rate"] == 0.0
         assert merged["mean_batch_size"] == 0.0
         assert merged["latency_p99_ms"] >= merged["latency_p50_ms"] > 0.0
 
-    def test_histogram_merge_agrees_with_pooled_window(self):
-        """The acceptance cross-check: merged-histogram p50/p99 within one
-        bucket width of the pooled-window percentiles."""
+    def test_hist_merge_agrees_with_exact(self):
+        """Merged-histogram p50/p99 within one bucket width of the exact
+        percentiles over every worker's samples."""
         rng = np.random.default_rng(17)
-        workers = [
-            _busy_snapshot(rng.lognormal(-4.0, 1.0, size=200)) for _ in range(4)
-        ]
-        merged = merge_stats(
-            [w.snapshot() for w in workers], [w.window() for w in workers]
-        )
-        h = Histogram()
-        for q, pooled_key in (
-            (50, "latency_pooled_p50_ms"),
-            (99, "latency_pooled_p99_ms"),
-        ):
-            hist_ms = merged[f"latency_p{q}_ms"]
-            pooled_ms = merged[pooled_key]
-            lower, upper = h.bucket_bounds(h.bucket_index(pooled_ms / 1e3))
-            assert abs(hist_ms - pooled_ms) <= (upper - lower) * 1e3, (
-                f"p{q}: hist {hist_ms} vs pooled {pooled_ms}"
+        samples = [rng.lognormal(-4.0, 1.0, size=200) for _ in range(4)]
+        merged = merge_stats([_busy_snapshot(s).snapshot() for s in samples])
+        pooled = np.concatenate(samples)
+        for q in (50, 99):
+            exact_s = float(np.percentile(pooled, q))
+            hist_s = merged[f"latency_p{q}_ms"] / 1e3
+            assert _within_one_bucket(hist_s, exact_s), (
+                f"p{q}: hist {hist_s} vs exact {exact_s}"
             )
 
-    def test_hist_survives_window_eviction_pooling_does_not(self):
-        """The reason histograms exist: eviction biases the window pool."""
-        t = ServiceTelemetry(latency_window=4)
-        for latency in [5.0] * 8 + [0.001] * 4:  # slow era fully evicted
-            t.record_completion(latency)
-        merged = merge_stats([t.snapshot()], [t.window()])
-        assert merged["latency_pooled_p99_ms"] < 10  # window forgot the 5 s era
-        assert merged["latency_p99_ms"] > 1000  # histogram did not
-
-    def test_missing_hist_falls_back_to_pooled_windows(self):
-        """Pre-histogram snapshots (no ``latency_hist``) keep the old path."""
-        snaps = [
-            {"requests_total": 2, "batches_total": 1, "mean_batch_size": 2.0},
-            {"requests_total": 1, "batches_total": 1, "mean_batch_size": 1.0},
-        ]
-        merged = merge_stats(snaps, [[0.1, 0.2], [0.4]])
-        assert "latency_hist" not in merged
-        assert merged["latency_p50_ms"] == pytest.approx(200.0)
-
-    def test_malformed_hist_falls_back_to_pooled_windows(self):
-        a = _busy_snapshot([0.01]).snapshot()
-        b = _busy_snapshot([0.02]).snapshot()
-        b["latency_hist"] = {"counts": "garbage"}
-        merged = merge_stats([a, b], [[0.01], [0.02]])
-        assert merged["latency_p50_ms"] == pytest.approx(15.0)
-
-    def test_mismatched_bucket_configs_fall_back_to_pooled_windows(self):
-        a = _busy_snapshot([0.01]).snapshot()
-        b = _busy_snapshot([0.02]).snapshot()
-        b["latency_hist"] = Histogram(growth=2.0).to_dict()
-        merged = merge_stats([a, b], [[0.01], [0.02]])
-        assert merged["latency_p50_ms"] == pytest.approx(15.0)
+    @pytest.mark.parametrize(
+        "bad_hist",
+        [
+            None,
+            {"counts": "garbage"},
+            Histogram(growth=2.0).to_dict(),
+            {**Histogram().to_dict(), "counts": [1] * 500},
+        ],
+        ids=["missing", "malformed", "mismatched", "overlong"],
+    )
+    def test_unmergeable_hist_is_left_out(self, bad_hist):
+        """Stats can come from remote workers: a snapshot whose histogram
+        will not merge must not raise.  Its counters still sum; the
+        percentiles come from the other workers alone."""
+        good = [_busy_snapshot([0.01, 0.02]), _busy_snapshot([0.03])]
+        bad = _busy_snapshot([5.0, 5.0, 5.0]).snapshot()
+        bad["latency_hist"] = bad_hist
+        merged = merge_stats([good[0].snapshot(), bad, good[1].snapshot()])
+        assert merged["requests_total"] == 6
+        assert merged["completed_total"] == 6
+        assert merged["latency_hist"]["count"] == 3
+        expected = merge_stats([g.snapshot() for g in good])
+        assert merged["latency_p50_ms"] == expected["latency_p50_ms"]
+        assert merged["latency_p99_ms"] == expected["latency_p99_ms"]
+        assert merged["latency_p99_ms"] < 1000  # the 5 s samples are out
 
 
 class TestMergeStatsMissingWorkers:
@@ -202,15 +175,15 @@ class TestMergeStatsMissingWorkers:
 
     def test_none_snapshot_is_counted_not_merged(self):
         live = _busy_snapshot([0.01, 0.02])
-        merged = merge_stats([live.snapshot(), None], [live.window(), None])
+        merged = merge_stats([live.snapshot(), None])
         assert merged["workers"] == 2
         assert merged["missing_workers"] == 1
         assert merged["requests_total"] == 2
-        # pooled percentiles come from the one live window, unperturbed
-        assert merged["latency_pooled_p50_ms"] == pytest.approx(15.0)
+        # percentiles come from the one live worker, unperturbed
+        assert merged["latency_p50_ms"] == live.snapshot()["latency_p50_ms"]
 
     def test_all_missing_merges_to_empty_fleet_shape(self):
-        merged = merge_stats([None, None, None], [None, None, None])
+        merged = merge_stats([None, None, None])
         assert merged["workers"] == 3
         assert merged["missing_workers"] == 3
         assert merged["requests_total"] == 0
@@ -229,9 +202,7 @@ class TestMergeStatsMissingWorkers:
         None among them used to poison the hist path into a TypeError."""
         a = _busy_snapshot([0.01])
         b = _busy_snapshot([0.03])
-        merged = merge_stats(
-            [a.snapshot(), None, b.snapshot()], [a.window(), None, b.window()]
-        )
+        merged = merge_stats([a.snapshot(), None, b.snapshot()])
         assert "latency_hist" in merged
         assert merged["latency_hist"]["count"] == 2
         assert merged["missing_workers"] == 1
